@@ -5,91 +5,5 @@ either appends each program's output in place between output markers
 (update mode, idempotent) or swaps the markup for the bare output
 (replace mode, written elsewhere).
 """
-from .core import (
-    BeginEnd,
-    EngineError,
-    EngineState,
-    EvalError,
-    Hook,
-    Literal,
-    Mode,
-    OutDelims,
-    ParseError,
-    Pattern,
-    Style,
-    UnterminatedOutputError,
-    UnterminatedSnippetError,
-    UsageError,
-    new_engine_state,
-)
-from .config import ConfChain, exec_conf_chain, find_conf_chain
-from .rewriter import (
-    RenderedFile,
-    assemble_replace,
-    assemble_update,
-    choose_infix,
-    indent_output,
-    prepare_code,
-    process_file,
-    write_if_changed,
-)
-from .scanner import (
-    ExistingOutput,
-    LiteralMatch,
-    Outer,
-    PatternMatch,
-    Snippet,
-    detect_output_block,
-    find_next_match,
-    iter_segments,
-    scan,
-)
-from .scriptlet import eval_expression, eval_program, parse_expression, parse_scriptlet
-from .styles import StyleRegistry, builtin_registry, detect_style
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BeginEnd",
-    "ConfChain",
-    "EngineError",
-    "EngineState",
-    "EvalError",
-    "ExistingOutput",
-    "Hook",
-    "Literal",
-    "LiteralMatch",
-    "Mode",
-    "OutDelims",
-    "Outer",
-    "ParseError",
-    "Pattern",
-    "PatternMatch",
-    "RenderedFile",
-    "Snippet",
-    "Style",
-    "StyleRegistry",
-    "UnterminatedOutputError",
-    "UnterminatedSnippetError",
-    "UsageError",
-    "assemble_replace",
-    "assemble_update",
-    "builtin_registry",
-    "choose_infix",
-    "detect_output_block",
-    "detect_style",
-    "eval_expression",
-    "eval_program",
-    "exec_conf_chain",
-    "find_conf_chain",
-    "find_next_match",
-    "indent_output",
-    "iter_segments",
-    "new_engine_state",
-    "parse_expression",
-    "parse_scriptlet",
-    "prepare_code",
-    "process_file",
-    "scan",
-    "write_if_changed",
-]

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 from .core import EngineError, Mode, UsageError, new_engine_state
 from .rewriter import process_file
-from .styles import builtin_registry, detect_style
+from .styles import STYLES, detect_style
 
 USAGE = "usage: textforge [-replace] [-o=PATH] [-e=CODE] [-style=NAME] FILE..."
 
@@ -62,19 +62,18 @@ def parse_args(argv: list[str]) -> CliOptions:
 
 def run(opts: CliOptions) -> int:
     """Process every file; returns the process exit code."""
-    registry = builtin_registry()
     override = None
     if opts.style_override is not None:
-        override = registry.get(opts.style_override)
+        override = STYLES.get(opts.style_override)
         if override is None:
-            known = ", ".join(registry.names())
+            known = ", ".join(sorted(STYLES))
             print(f"textforge: unknown style '{opts.style_override}' "
                   f"(known: {known})", file=sys.stderr)
             return 2
 
     status = 0
     for path in opts.files:
-        style = override or detect_style(path, registry)
+        style = override or detect_style(path)
         state = new_engine_state(path, opts.mode, style)
         try:
             process_file(path, state, out_path=opts.out_path,

@@ -10,7 +10,6 @@ variable TEXTFORGE_NO_CONF=1 disables loading entirely.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 
 from .core import EngineState
 from .scriptlet import eval_program, parse_scriptlet
@@ -19,15 +18,9 @@ NO_CONF_ENV = "TEXTFORGE_NO_CONF"
 CONF_NAME = "starfish.conf"
 
 
-@dataclass(frozen=True, slots=True)
-class ConfChain:
-    """Conf file paths ordered top-down (shallowest ancestor first)."""
-
-    paths: tuple[str, ...]
-
-
-def find_conf_chain(start_dir: str) -> ConfChain:
-    """Collect starfish.conf from `start_dir` upward; a gap stops the walk."""
+def find_conf_chain(start_dir: str) -> tuple[str, ...]:
+    """Collect starfish.conf from `start_dir` upward; a gap stops the walk.
+    The paths come top-down (shallowest ancestor first)."""
     found: list[str] = []
     d = os.path.abspath(start_dir)
     while True:
@@ -39,10 +32,10 @@ def find_conf_chain(start_dir: str) -> ConfChain:
         if parent == d:
             break
         d = parent
-    return ConfChain(tuple(reversed(found)))
+    return tuple(reversed(found))
 
 
-def exec_conf_chain(chain: ConfChain, state: EngineState) -> None:
+def exec_conf_chain(chain: tuple[str, ...], state: EngineState) -> None:
     """Run each conf as a scriptlet program against `state.scope`.
 
     Conf output ($O) is discarded and relative paths in builtins resolve
@@ -53,7 +46,7 @@ def exec_conf_chain(chain: ConfChain, state: EngineState) -> None:
     saved_buffer = state.out_buffer
     saved_base = state.base_dir
     try:
-        for path in chain.paths:
+        for path in chain:
             with open(path, "rb") as fh:
                 source = fh.read().decode("utf-8", "surrogateescape")
             try:

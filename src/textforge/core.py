@@ -1,7 +1,7 @@
 """Domain types shared by the whole engine.
 
-The engine walks a text file looking for *hooks* (snippet delimiters, literal
-needles, or regular expressions), evaluates embedded scriptlets against a
+The engine walks a text file looking for *hooks* (snippet delimiters or
+regular expressions), evaluates embedded scriptlets against a
 per-file state, and either appends their output in place (update mode) or
 substitutes it for the markup (replace mode).
 """
@@ -68,19 +68,6 @@ class BeginEnd:
 
 
 @dataclass(frozen=True, slots=True)
-class Literal:
-    """Verbatim needle; in replace mode the needle becomes the evaluated
-    replacement expression."""
-
-    needle: str
-    replacement: str  # scriptlet expression source
-
-    def __post_init__(self):
-        if not self.needle:
-            raise ValueError("literal hook needle must be non-empty")
-
-
-@dataclass(frozen=True, slots=True)
 class Pattern:
     """Regex hook; in replace mode the match becomes `template` with $1..$9
     substituted from capture groups."""
@@ -94,7 +81,7 @@ class Pattern:
         re.compile(self.regex)  # validate eagerly; re caches the compile
 
 
-Hook = BeginEnd | Literal | Pattern
+Hook = BeginEnd | Pattern
 
 
 @dataclass(frozen=True, slots=True)
@@ -144,7 +131,6 @@ class EngineState:
 
     mode: Mode
     file_path: str
-    style: Style
     hooks: list[Hook]
     out_delims: OutDelims
     line_comment: str | None
@@ -162,7 +148,6 @@ def new_engine_state(path: str, mode: Mode, style: Style) -> EngineState:
     return EngineState(
         mode=mode,
         file_path=path,
-        style=style,
         hooks=list(style.hooks),
         out_delims=style.out_delims,
         line_comment=style.line_comment,

@@ -1,4 +1,4 @@
-"""Turning scanned segments plus snippet outputs back into file text.
+"""Rendering a file's segments, each as soon as it is evaluated.
 
 Update mode keeps every snippet in place and appends its output directly
 after the end delimiter, wrapped in output markers whose shared digit infix
@@ -23,43 +23,28 @@ from .core import (
     UsageError,
     line_col,
 )
-from .scanner import (
-    LiteralMatch,
-    Outer,
-    PatternMatch,
-    Segment,
-    Snippet,
-    iter_segments,
-)
-from .scriptlet import (
-    eval_expression,
-    eval_program,
-    parse_expression,
-    parse_scriptlet,
-    stringify,
-)
+from .scanner import Outer, Snippet, iter_segments
+from .scriptlet import eval_program, parse_scriptlet
 
 
 @dataclass(frozen=True, slots=True)
 class RenderedFile:
-    """Result of processing one file: new text and whether it differs."""
+    """Result of processing one file: new text and whether its bytes differ
+    from the input's."""
 
     text: str
     changed: bool
 
 
-def prepare_code(code: str, line_comment: str | None) -> str:
+def strip_line_comments(code: str, line_comment: str | None) -> tuple[str, list[int]]:
     """Strip the style's line-comment prefix from commented snippet lines.
 
     A line whose first non-whitespace characters equal `line_comment` loses
     the comment string and the whitespace before it; everything after stays,
     so multi-line scriptlets written inside host-language comments parse as
-    one program.
+    one program. Also returns, per line, how many characters were removed
+    from its start, so error positions map back to the file.
     """
-    return _prepare_with_offsets(code, line_comment)[0]
-
-
-def _prepare_with_offsets(code: str, line_comment: str | None) -> tuple[str, list[int]]:
     if not line_comment:
         return code, []
     out = []
@@ -101,65 +86,6 @@ def indent_output(output: str, indent: str) -> str:
                      for line in output.split("\n"))
 
 
-def assemble_update(segments: list[Segment], outputs: list[str],
-                    state: EngineState) -> str:
-    """Render update-mode text: sources verbatim, fresh output blocks after
-    each snippet, stale blocks dropped. Empty output appends nothing."""
-    parts: list[str] = []
-    i = 0
-    for seg in segments:
-        if isinstance(seg, Outer):
-            parts.append(seg.text)
-            continue
-        if isinstance(seg, Snippet):
-            parts.append(seg.raw)
-            out = outputs[i]
-            i += 1
-            if seg.indent_adjust and seg.indent:
-                out = indent_output(out, seg.indent)
-            if out:
-                infix = choose_infix(out, seg.out_delims)
-                parts.append(seg.out_delims.begin(infix) + out
-                             + seg.out_delims.end(infix))
-        else:
-            parts.append(seg.matched)
-            i += 1
-    return "".join(parts)
-
-
-def assemble_replace(segments: list[Segment], outputs: list[str],
-                     state: EngineState) -> str:
-    """Render replace-mode text: snippet markup and stale blocks vanish and
-    only the bare output remains.
-
-    A snippet that starts its line (after whitespace only) takes that
-    whitespace with it, and output followed by a newline-terminated end
-    marker in update mode keeps a terminating newline here, so both modes
-    agree on line structure.
-    """
-    parts: list[str] = []
-    i = 0
-    for seg in segments:
-        if isinstance(seg, Outer):
-            parts.append(seg.text)
-            continue
-        if isinstance(seg, Snippet):
-            out = outputs[i]
-            i += 1
-            if seg.indent_adjust and seg.indent:
-                out = indent_output(out, seg.indent)
-            if (seg.indent and seg.line_prefix == seg.indent
-                    and parts and parts[-1].endswith(seg.indent)):
-                parts[-1] = parts[-1][:-len(seg.indent)]
-            if out and seg.out_delims.e2.endswith("\n") and not out.endswith("\n"):
-                out += "\n"
-            parts.append(out)
-        else:
-            parts.append(outputs[i])
-            i += 1
-    return "".join(parts)
-
-
 def _substitute_template(template: str, captures: tuple[str, ...]) -> str:
     def repl(m: re.Match) -> str:
         idx = int(m.group(1)) - 1
@@ -187,7 +113,7 @@ def _rebase_error(exc, text: str, seg: Snippet, begin_len: int,
 def _eval_snippet(text: str, seg: Snippet, state: EngineState) -> str:
     state.out_buffer = ""
     hook = state.hooks[seg.hook_index]
-    prepared, removed = _prepare_with_offsets(seg.code, state.line_comment)
+    prepared, removed = strip_line_comments(seg.code, state.line_comment)
     try:
         program = parse_scriptlet(prepared)
         return eval_program(program, state)
@@ -198,13 +124,44 @@ def _eval_snippet(text: str, seg: Snippet, state: EngineState) -> str:
                             state.file_path) from None
 
 
+def _render_snippet(parts: list[str], seg: Snippet, out: str,
+                    mode: Mode) -> None:
+    """Append one evaluated snippet to `parts`.
+
+    Update mode keeps the snippet verbatim and appends a fresh output block
+    (nothing for empty output); the stale block it was scanned with is
+    dropped. Replace mode drops the markup and keeps the bare output. There,
+    a snippet that starts its line (after whitespace only) takes that
+    whitespace with it, and output followed by a newline-terminated end
+    marker in update mode keeps a terminating newline, so both modes agree
+    on line structure.
+    """
+    if seg.indent_adjust and seg.indent:
+        out = indent_output(out, seg.indent)
+    delims = seg.out_delims
+    if mode is Mode.UPDATE:
+        parts.append(seg.raw)
+        if out:
+            infix = choose_infix(out, delims)
+            parts.append(delims.begin(infix) + out + delims.end(infix))
+        return
+    if (seg.indent and seg.line_prefix == seg.indent
+            and parts and parts[-1].endswith(seg.indent)):
+        parts[-1] = parts[-1][:-len(seg.indent)]
+    if out and delims.e2.endswith("\n") and not out.endswith("\n"):
+        out += "\n"
+    parts.append(out)
+
+
 def process_file(path: str, state: EngineState, *, out_path: str | None = None,
                  init_code: str | None = None) -> RenderedFile:
-    """Process one file: read, run optional init code, evaluate snippets in
-    document order, assemble per mode, and write the result.
+    """Process one file: read, run optional init code, then evaluate and
+    render each segment in document order, and write the result.
 
-    Update mode rewrites `path` in place (only when the content actually
-    changed); replace mode writes to `out_path` and never touches the input.
+    Update mode rewrites `path` in place (only when the bytes actually
+    change) and leaves regex-hook matches alone; replace mode writes to
+    `out_path`, substitutes each regex-hook match with its template, and
+    never touches the input.
     """
     if state.mode is Mode.REPLACE and not out_path:
         raise UsageError("replace mode requires an output path")
@@ -212,8 +169,10 @@ def process_file(path: str, state: EngineState, *, out_path: str | None = None,
         raise UsageError("update mode rewrites in place; -o is not allowed")
 
     with open(path, "rb") as fh:
-        text = fh.read().decode("utf-8", "surrogateescape")
-    state.file_mtime = os.stat(path).st_mtime
+        data = fh.read()
+        st = os.fstat(fh.fileno())
+    text = data.decode("utf-8", "surrogateescape")
+    state.file_mtime = st.st_mtime
 
     if init_code:
         try:
@@ -225,52 +184,51 @@ def process_file(path: str, state: EngineState, *, out_path: str | None = None,
             raise
         state.out_buffer = ""
 
-    segments: list[Segment] = []
-    outputs: list[str] = []
+    parts: list[str] = []
     for seg in iter_segments(text, state):
-        segments.append(seg)
-        if isinstance(seg, Snippet):
-            outputs.append(_eval_snippet(text, seg, state))
-        elif isinstance(seg, LiteralMatch):
-            if state.mode is Mode.REPLACE:
-                hook = state.hooks[seg.needle_index]
-                expr = parse_expression(hook.replacement)
-                outputs.append(stringify(eval_expression(expr, state)))
-            else:
-                outputs.append("")
-        elif isinstance(seg, PatternMatch):
-            if state.mode is Mode.REPLACE:
-                hook = state.hooks[seg.hook_index]
-                outputs.append(_substitute_template(hook.template, seg.captures))
-            else:
-                outputs.append("")
+        if isinstance(seg, Outer):
+            parts.append(seg.text)
+        elif isinstance(seg, Snippet):
+            _render_snippet(parts, seg, _eval_snippet(text, seg, state),
+                            state.mode)
+        elif state.mode is Mode.UPDATE:  # a regex-hook match stays as is
+            parts.append(seg.matched)
+        else:
+            hook = state.hooks[seg.hook_index]
+            parts.append(_substitute_template(hook.template, seg.captures))
+    new_text = "".join(parts)
 
     if state.mode is Mode.UPDATE:
-        new_text = assemble_update(segments, outputs, state)
-        write_if_changed(path, new_text)
+        changed = write_if_changed(path, new_text, data, st)
     else:
-        new_text = assemble_replace(segments, outputs, state)
         assert out_path is not None
         write_if_changed(out_path, new_text)
-    return RenderedFile(text=new_text, changed=new_text != text)
+        changed = new_text.encode("utf-8", "surrogateescape") != data
+    return RenderedFile(text=new_text, changed=changed)
 
 
-def write_if_changed(path: str, text: str) -> bool:
-    """Write `text` to `path` atomically, but only when it differs.
+def write_if_changed(path: str, text: str, current: bytes | None = None,
+                     current_stat: os.stat_result | None = None) -> bool:
+    """Write `text` to `path` atomically, but only when its bytes differ.
 
     Identical content means no write at all, so timestamps survive untouched.
-    Updates go through a temp file in the same directory followed by a rename;
-    an existing file keeps its permission bits.
+    A caller that already holds the target's bytes and stat result passes
+    them as `current` and `current_stat`; otherwise the target is read here
+    (a missing target always differs). Updates go through a temp file in the
+    same directory followed by a rename; an existing file keeps its
+    permission bits.
     """
     data = text.encode("utf-8", "surrogateescape")
-    mode = None
-    try:
-        with open(path, "rb") as fh:
-            if fh.read() == data:
-                return False
-        mode = stat.S_IMODE(os.stat(path).st_mode)
-    except FileNotFoundError:
-        pass
+    if current is None:
+        try:
+            with open(path, "rb") as fh:
+                current = fh.read()
+                current_stat = os.fstat(fh.fileno())
+        except FileNotFoundError:
+            pass
+    if current == data:
+        return False
+    mode = None if current_stat is None else stat.S_IMODE(current_stat.st_mode)
 
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(prefix=".textforge-", dir=directory)

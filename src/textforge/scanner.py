@@ -16,7 +16,6 @@ from .core import (
     BeginEnd,
     EngineState,
     Hook,
-    Literal,
     OutDelims,
     Pattern,
     UnterminatedOutputError,
@@ -50,8 +49,9 @@ class Snippet:
     """One begin/end-delimited scriptlet occurrence.
 
     raw spans begin through end delimiter inclusive; code is the text between
-    them. indent is the leading whitespace of the line holding the begin
-    delimiter and line_prefix everything on that line before the delimiter.
+    them. indent is the leading whitespace of the source line holding the
+    begin delimiter and line_prefix everything on that line before the
+    delimiter (see `iter_segments`).
     out_delims/indent_adjust record the values in effect when the snippet was
     scanned, so later retargeting cannot re-wrap earlier output.
     """
@@ -68,19 +68,13 @@ class Snippet:
 
 
 @dataclass(frozen=True, slots=True)
-class LiteralMatch:
-    needle_index: int
-    matched: str
-
-
-@dataclass(frozen=True, slots=True)
 class PatternMatch:
     hook_index: int
     matched: str
     captures: tuple[str, ...]
 
 
-Segment = Outer | Snippet | LiteralMatch | PatternMatch
+Segment = Outer | Snippet | PatternMatch
 
 
 @dataclass(frozen=True, slots=True)
@@ -114,11 +108,6 @@ def find_next_match(text: str, from_: int, hooks: list[Hook],
                     dangling = b
                 continue
             cand = HookMatch(i, b, e + len(hook.end))
-        elif isinstance(hook, Literal):
-            n = text.find(hook.needle, from_)
-            if n < 0:
-                continue
-            cand = HookMatch(i, n, n + len(hook.needle))
         else:
             # Zero-width matches are skipped: they carry no text to rewrite
             # and would stall the scan. (re.search clamps pos to len(text)
@@ -179,14 +168,23 @@ def detect_output_block(text: str, at: int, delims: OutDelims,
     return ExistingOutput(raw=text[at:end], inner=text[inner_start:k], infix=infix)
 
 
-def _line_prefix(text: str, offset: int) -> tuple[str, str]:
-    """(leading whitespace of the line, everything on the line before offset)."""
-    start = text.rfind("\n", 0, offset) + 1
-    prefix = text[start:offset]
-    i = start
-    while i < len(text) and text[i] in " \t":
-        i += 1
-    return text[start:i], prefix
+def _line_prefix(text: str, start: int, skipped: list[tuple[int, int]],
+                 offset: int) -> tuple[str, str]:
+    """(leading whitespace of the source line, everything on it before
+    offset). The source line begins at `start` and leaves out the output
+    blocks spanned by `skipped`."""
+    pieces = []
+    for block_start, block_end in skipped:
+        pieces.append(text[start:block_start])
+        start = block_end
+    pieces.append(text[start:offset])
+    prefix = "".join(pieces)
+    body = prefix.lstrip(" \t")
+    end = offset
+    if not body:  # the leading whitespace may run on past offset
+        while end < len(text) and text[end] in " \t":
+            end += 1
+    return prefix[:len(prefix) - len(body)] + text[offset:end], prefix
 
 
 def iter_segments(text: str, state: EngineState) -> Iterator[Segment]:
@@ -196,9 +194,15 @@ def iter_segments(text: str, state: EngineState) -> Iterator[Segment]:
     applied from the resume point onward. Existing output blocks are detected
     in both modes, only for BeginEnd hooks, and only with zero characters
     between snippet end and block begin.
+
+    A snippet's indent and line prefix come from its source line: the line
+    as it reads with consumed output blocks left out. Update only rewrites
+    blocks, so it cannot change them, and a rerun indents output the same.
     """
     pos = 0
     n = len(text)
+    line_start = 0
+    skipped: list[tuple[int, int]] = []  # blocks consumed on the source line
     while True:
         match = find_next_match(text, pos, state.hooks, file=state.file_path)
         if match is None:
@@ -207,11 +211,15 @@ def iter_segments(text: str, state: EngineState) -> Iterator[Segment]:
             return
         if match.start > pos:
             yield Outer(text[pos:match.start])
+        newline = text.rfind("\n", pos, match.start)
+        if newline >= 0:
+            line_start, skipped = newline + 1, []
+        existing = None
         hook = state.hooks[match.hook_index]
         if isinstance(hook, BeginEnd):
             raw = text[match.start:match.end]
             code = text[match.start + len(hook.begin):match.end - len(hook.end)]
-            indent, prefix = _line_prefix(text, match.start)
+            indent, prefix = _line_prefix(text, line_start, skipped, match.start)
             delims = state.out_delims
             existing = detect_output_block(text, match.end, delims,
                                            file=state.file_path)
@@ -226,14 +234,16 @@ def iter_segments(text: str, state: EngineState) -> Iterator[Segment]:
                 indent_adjust=state.indent_adjust,
                 offset=match.start,
             )
-            pos = match.end + (len(existing.raw) if existing else 0)
-        elif isinstance(hook, Literal):
-            yield LiteralMatch(match.hook_index, text[match.start:match.end])
-            pos = match.end
         else:
             yield PatternMatch(match.hook_index, text[match.start:match.end],
                                match.captures)
-            pos = match.end
+        newline = text.rfind("\n", match.start, match.end)
+        if newline >= 0:
+            line_start, skipped = newline + 1, []
+        pos = match.end
+        if existing is not None:
+            skipped.append((pos, pos + len(existing.raw)))
+            pos += len(existing.raw)
 
 
 def scan(text: str, state: EngineState) -> list[Segment]:

@@ -37,6 +37,7 @@ from .core import (
     Value,
     line_col,
 )
+from .styles import STYLES
 
 KEYWORDS = frozenset({"echo", "if", "else", "for", "in"})
 
@@ -430,15 +431,6 @@ def parse_scriptlet(source: str) -> Program:
     return _Parser(tokenize(source)).program()
 
 
-def parse_expression(source: str):
-    """Parse a single expression (used for literal-hook replacements)."""
-    parser = _Parser(tokenize(source))
-    expr = parser.expression()
-    if parser.peek().kind != "eof":
-        raise parser.fail("trailing input after expression")
-    return expr
-
-
 # --- evaluation --------------------------------------------------------
 
 def stringify(value: Value) -> str:
@@ -562,10 +554,6 @@ def eval_program(program: Program, state: EngineState) -> str:
     return _Evaluator(state).run(program)
 
 
-def eval_expression(expr, state: EngineState) -> Value:
-    return _Evaluator(state).expr(expr)
-
-
 # --- builtin functions --------------------------------------------------
 
 _MONTHS = ("January", "February", "March", "April", "May", "June", "July",
@@ -593,12 +581,9 @@ def _read_starfish_conf(state: EngineState) -> str:
 
 
 def _set_style(state: EngineState, name: Value) -> str:
-    from .styles import builtin_registry
-
-    registry = builtin_registry()
-    style = registry.get(stringify(name))
+    style = STYLES.get(stringify(name))
     if style is None:
-        known = ", ".join(registry.names())
+        known = ", ".join(sorted(STYLES))
         raise EvalError(f"unknown style '{stringify(name)}' (known: {known})")
     state.hooks = list(style.hooks)
     state.out_delims = style.out_delims

@@ -7,95 +7,71 @@ with the snippet.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
 
 from .core import BeginEnd, OutDelims, Style
 
 _HASH_HOOKS = (BeginEnd("#<?", "!>"), BeginEnd("<?", "!>"))
 _HASH_DELIMS = OutDelims("#", "+\n", "#", "-\n")
 
-
-@dataclass
-class StyleRegistry:
-    """Name -> Style mapping plus extension lookups."""
-
-    styles: dict[str, Style] = field(default_factory=dict)
-
-    def add(self, style: Style) -> None:
-        self.styles[style.name] = style
-
-    def get(self, name: str) -> Style | None:
-        return self.styles.get(name)
-
-    def names(self) -> list[str]:
-        return sorted(self.styles)
-
-
-def builtin_registry() -> StyleRegistry:
-    """Registry with the six built-in styles."""
-    reg = StyleRegistry()
-    reg.add(Style(
+# Name -> built-in style.
+STYLES: dict[str, Style] = {style.name: style for style in (
+    Style(
         name="default",
         hooks=_HASH_HOOKS,
         line_comment="#",
         out_delims=_HASH_DELIMS,
-    ))
-    reg.add(Style(
+    ),
+    Style(
         name="makefile",
         hooks=_HASH_HOOKS,
         line_comment="#",
         out_delims=_HASH_DELIMS,
         indent_adjust=True,
         extensions=("Makefile", "makefile", ".mk"),
-    ))
-    reg.add(Style(
+    ),
+    Style(
         name="python",
         hooks=_HASH_HOOKS,
         line_comment="#",
         out_delims=_HASH_DELIMS,
         indent_adjust=True,
         extensions=(".py",),
-    ))
-    reg.add(Style(
+    ),
+    Style(
         name="perl",
         hooks=_HASH_HOOKS,
         line_comment="#",
         out_delims=_HASH_DELIMS,
         extensions=(".pl", ".pm"),
-    ))
-    reg.add(Style(
+    ),
+    Style(
         name="java",
         hooks=(BeginEnd("//<?", "!>"), BeginEnd("<?", "!>")),
         line_comment="//",
         out_delims=OutDelims("//", "+\n", "//", "-\n"),
         extensions=(".java",),
-    ))
-    reg.add(Style(
+    ),
+    Style(
         name="html",
         hooks=(BeginEnd("<!--<?", "!>-->"), BeginEnd("<?", "!>")),
         line_comment=None,
         out_delims=OutDelims("<!-- +", " -->", "<!-- -", " -->"),
         extensions=(".html", ".htm"),
-    ))
-    return reg
+    ),
+)}
 
 
-def detect_style(path: str, registry: StyleRegistry) -> Style:
+def detect_style(path: str) -> Style:
     """Pick a style for `path`: exact basename first, then the longest
     matching suffix, else `default`."""
     base = os.path.basename(path)
-    for style in registry.styles.values():
-        for ext in style.extensions:
-            if not ext.startswith(".") and base == ext:
-                return style
-    best: Style | None = None
+    best = STYLES["default"]
     best_len = 0
-    for style in registry.styles.values():
+    for style in STYLES.values():
         for ext in style.extensions:
-            if ext.startswith(".") and base.endswith(ext) and len(ext) > best_len:
+            if not ext.startswith("."):
+                if base == ext:
+                    return style
+            elif base.endswith(ext) and len(ext) > best_len:
                 best, best_len = style, len(ext)
-    if best is not None:
-        return best
-    default = registry.get("default")
-    assert default is not None
-    return default
+    return best

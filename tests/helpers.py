@@ -1,13 +1,11 @@
 """Tiny shared helpers for the test modules."""
-from textforge import Mode, builtin_registry, new_engine_state
+from textforge.core import Mode, new_engine_state
 from textforge.scanner import Outer, Snippet
+from textforge.styles import STYLES
 
 
 def make_state(path="doc.txt", mode=Mode.UPDATE, style="default"):
-    reg = builtin_registry()
-    st = reg.get(style)
-    assert st is not None, style
-    return new_engine_state(path, mode, st)
+    return new_engine_state(path, mode, STYLES[style])
 
 
 def concat_segments(segments):

@@ -27,12 +27,12 @@ def test_chain_is_collected_top_down(tmp_path):
     mid = _conf(tmp_path / "a" / "b", "$x = 2;")
     leaf = _conf(tmp_path / "a" / "b" / "c", "$x = 3;")
     chain = find_conf_chain(str(tmp_path / "a" / "b" / "c"))
-    assert list(chain.paths) == [top, mid, leaf]
+    assert chain == (top, mid, leaf)
 
 
 def test_chain_empty_without_conf(tmp_path):
     (tmp_path / "x").mkdir()
-    assert find_conf_chain(str(tmp_path / "x")).paths == ()
+    assert find_conf_chain(str(tmp_path / "x")) == ()
 
 
 def test_chain_stops_at_first_gap(tmp_path):
@@ -40,13 +40,13 @@ def test_chain_stops_at_first_gap(tmp_path):
     (tmp_path / "a" / "b").mkdir()  # no conf here
     leaf = _conf(tmp_path / "a" / "b" / "c", "$x = 3;")
     chain = find_conf_chain(str(tmp_path / "a" / "b" / "c"))
-    assert list(chain.paths) == [leaf]
+    assert chain == (leaf,)
 
 
 def test_chain_starts_from_given_directory_only(tmp_path):
     _conf(tmp_path / "a", "$x = 1;")
     (tmp_path / "a" / "b").mkdir()
-    assert find_conf_chain(str(tmp_path / "a" / "b")).paths == ()
+    assert find_conf_chain(str(tmp_path / "a" / "b")) == ()
 
 
 def test_chain_terminates_at_filesystem_root():

@@ -7,14 +7,13 @@ from hypothesis import given, strategies as st
 from textforge.core import (
     BeginEnd,
     EngineError,
-    Literal,
     Mode,
     OutDelims,
     Pattern,
     line_col,
     new_engine_state,
 )
-from textforge.styles import builtin_registry
+from textforge.styles import STYLES
 
 
 def test_mode_members():
@@ -37,11 +36,6 @@ def test_begin_end_rejects_empty_delimiters():
         BeginEnd("<?", "")
 
 
-def test_literal_rejects_empty_needle():
-    with pytest.raises(ValueError):
-        Literal("", "'x'")
-
-
 def test_pattern_rejects_empty_or_broken_regex():
     with pytest.raises(ValueError):
         Pattern("", "t")
@@ -58,16 +52,16 @@ def test_out_delims_markers():
 
 
 def test_new_engine_state_copies_hooks():
-    style = builtin_registry().get("java")
+    style = STYLES["java"]
     state = new_engine_state("x.java", Mode.UPDATE, style)
     assert state.hooks == list(style.hooks)
-    state.hooks.append(Literal("zz", "'y'"))
+    state.hooks.append(Pattern("zz", ""))
     # the style itself must stay pristine for the next file
     assert len(style.hooks) == 2
 
 
 def test_new_engine_state_defaults():
-    style = builtin_registry().get("default")
+    style = STYLES["default"]
     state = new_engine_state(os.path.join("some", "dir", "f.txt"),
                              Mode.REPLACE, style)
     assert state.mode is Mode.REPLACE

@@ -1,13 +1,14 @@
 import os
 import stat as statmod
+import tempfile
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from helpers import make_state
+from textforge import rewriter
 from textforge.core import (
     EvalError,
-    Literal,
     Mode,
     OutDelims,
     ParseError,
@@ -15,38 +16,35 @@ from textforge.core import (
     UsageError,
 )
 from textforge.rewriter import (
-    assemble_replace,
-    assemble_update,
     choose_infix,
     indent_output,
-    prepare_code,
     process_file,
+    strip_line_comments,
     write_if_changed,
 )
-from textforge.scanner import scan
 
 HASH = OutDelims("#", "+\n", "#", "-\n")
 JAVA = OutDelims("//", "+\n", "//", "-\n")
 
 
-# --- prepare_code ----------------------------------------------------------
+# --- strip_line_comments ---------------------------------------------------
 
 def test_prepare_code_strips_comment_prefix():
-    assert prepare_code("#   echo 'a';\n#   echo 'b';\n", "#") == \
+    assert strip_line_comments("#   echo 'a';\n#   echo 'b';\n", "#")[0] == \
         "   echo 'a';\n   echo 'b';\n"
 
 
 def test_prepare_code_leaves_plain_lines():
-    assert prepare_code("$x = 1;", "#") == "$x = 1;"
+    assert strip_line_comments("$x = 1;", "#")[0] == "$x = 1;"
 
 
 def test_prepare_code_mixed_lines():
     code = " $a = 1;\n    // $b = 2;\n//$c = 3;\nplain\n"
-    assert prepare_code(code, "//") == " $a = 1;\n $b = 2;\n$c = 3;\nplain\n"
+    assert strip_line_comments(code, "//")[0] == " $a = 1;\n $b = 2;\n$c = 3;\nplain\n"
 
 
 def test_prepare_code_without_line_comment_is_identity():
-    assert prepare_code("# anything\n", None) == "# anything\n"
+    assert strip_line_comments("# anything\n", None)[0] == "# anything\n"
 
 
 def test_prepare_code_makes_commented_ternary_parse():
@@ -55,7 +53,7 @@ def test_prepare_code_makes_commented_ternary_parse():
             "    // 'System.out.println(\"Release version\");' );\n"
             "    //")
     from textforge.scriptlet import parse_scriptlet
-    parse_scriptlet(prepare_code(code, "//"))  # must not raise
+    parse_scriptlet(strip_line_comments(code, "//")[0])  # must not raise
 
 
 # --- choose_infix ----------------------------------------------------------
@@ -105,90 +103,86 @@ def test_indent_output_leaves_empty_lines_bare():
     assert indent_output("a\n\nb\n", "\t") == "\ta\n\n\tb\n"
 
 
-# --- assemble_update -------------------------------------------------------
-
-def test_update_appends_fresh_block():
-    state = make_state()
-    segs = scan("x<? c !>y", state)
-    assert assemble_update(segs, ["OUT\n"], state) == "x<? c !>#+\nOUT\n#-\ny"
-
-
-def test_update_replaces_stale_block():
-    state = make_state()
-    segs = scan("x<? c !>#+\nOLD#-\ny", state)
-    assert assemble_update(segs, ["NEW"], state) == "x<? c !>#+\nNEW#-\ny"
+def render(tmp_path, text, mode=Mode.UPDATE, style="default", init_code=None):
+    """Process `text` as a file; returns the updated file or the replace
+    output."""
+    f = tmp_path / "doc.txt"
+    f.write_text(text)
+    out = tmp_path / "out.txt" if mode is Mode.REPLACE else None
+    process_file(str(f), make_state(path=str(f), mode=mode, style=style),
+                 out_path=out and str(out), init_code=init_code)
+    return (out or f).read_text()
 
 
-def test_update_empty_output_drops_block_entirely():
-    state = make_state()
-    segs = scan("x<? c !>#+\nOLD#-\ny", state)
-    assert assemble_update(segs, [""], state) == "x<? c !>y"
+# --- rendering in update mode ----------------------------------------------
+
+def test_update_appends_fresh_block(tmp_path):
+    assert render(tmp_path, 'x<? echo "OUT\\n"; !>y') == \
+        'x<? echo "OUT\\n"; !>#+\nOUT\n#-\ny'
 
 
-def test_update_numbers_colliding_markers():
-    state = make_state()
-    segs = scan("<? c !>", state)
-    assert assemble_update(segs, ["a#-b\n"], state) == "<? c !>#1+\na#-b\n#1-\n"
+def test_update_replaces_stale_block(tmp_path):
+    assert render(tmp_path, "x<? echo 'NEW'; !>#+\nOLD#-\ny") == \
+        "x<? echo 'NEW'; !>#+\nNEW#-\ny"
 
 
-def test_update_indents_output_for_indent_adjust_styles():
-    state = make_state(style="makefile")
-    segs = scan("  #<? x !>\n", state)
-    assert assemble_update(segs, ["a\nb\n"], state) == \
-        "  #<? x !>#+\n  a\n  b\n#-\n\n"
+def test_update_empty_output_drops_block_entirely(tmp_path):
+    assert render(tmp_path, "x<? $a = 1; !>#+\nOLD#-\ny") == "x<? $a = 1; !>y"
 
 
-def test_update_java_style_does_not_indent():
-    state = make_state(style="java")
-    segs = scan("  //<? x !>\n", state)
-    assert assemble_update(segs, ["a\n"], state) == "  //<? x !>//+\na\n//-\n\n"
+def test_update_numbers_colliding_markers(tmp_path):
+    assert render(tmp_path, '<? echo "a#-b\\n"; !>') == \
+        '<? echo "a#-b\\n"; !>#1+\na#-b\n#1-\n'
 
 
-def test_update_keeps_literal_and_pattern_matches_verbatim():
-    state = make_state()
-    state.hooks.append(Literal("@NOW@", "'later'"))
-    text = "a @NOW@ b"
-    segs = scan(text, state)
-    assert assemble_update(segs, [""], state) == text
+def test_update_indents_output_for_indent_adjust_styles(tmp_path):
+    assert render(tmp_path, '  #<? echo "a\\nb\\n"; !>\n', style="makefile") == \
+        '  #<? echo "a\\nb\\n"; !>#+\n  a\n  b\n#-\n\n'
 
 
-# --- assemble_replace ------------------------------------------------------
-
-def test_replace_whole_line_snippet_takes_its_whitespace():
-    state = make_state(path="f.java", mode=Mode.REPLACE, style="java")
-    segs = scan("    //<? c !>\nrest", state)
-    assert assemble_replace(segs, ["    x();"], state) == "    x();\n\nrest"
+def test_update_java_style_does_not_indent(tmp_path):
+    assert render(tmp_path, '  //<? echo "a\\n"; !>\n', style="java") == \
+        '  //<? echo "a\\n"; !>//+\na\n//-\n\n'
 
 
-def test_replace_mid_line_snippet_keeps_prefix():
-    state = make_state(mode=Mode.REPLACE)
-    segs = scan("a <? c !> b", state)
-    assert assemble_replace(segs, ["X"], state) == "a X\n b"
+def test_update_keeps_literal_and_pattern_matches_verbatim(tmp_path):
+    f = tmp_path / "doc.txt"
+    f.write_text("a @NOW@ b")
+    result = process_file(str(f), make_state(path=str(f)),
+                          init_code="add_regex_hook('@([A-Z]+)@', 'later');")
+    assert result.changed is False
+    assert f.read_text() == "a @NOW@ b"
 
 
-def test_replace_empty_output_leaves_blank_line():
-    state = make_state(path="f.java", mode=Mode.REPLACE, style="java")
-    segs = scan("    //<? c !>\nrest", state)
-    assert assemble_replace(segs, [""], state) == "\nrest"
+# --- rendering in replace mode ---------------------------------------------
+
+def test_replace_whole_line_snippet_takes_its_whitespace(tmp_path):
+    assert render(tmp_path, "    //<? echo '    x();'; !>\nrest",
+                  Mode.REPLACE, "java") == "    x();\n\nrest"
 
 
-def test_replace_drops_stale_output_block():
-    state = make_state(path="f.java", mode=Mode.REPLACE, style="java")
-    segs = scan("x//<? c !>//+\nOLD//-\ny", state)
-    assert assemble_replace(segs, ["NEW"], state) == "xNEW\ny"
+def test_replace_mid_line_snippet_keeps_prefix(tmp_path):
+    assert render(tmp_path, "a <? echo 'X'; !> b", Mode.REPLACE) == "a X\n b"
 
 
-def test_replace_substitutes_literal_and_pattern_outputs():
-    state = make_state(mode=Mode.REPLACE)
-    state.hooks.append(Literal("@NOW@", "'later'"))
-    segs = scan("a @NOW@ b", state)
-    assert assemble_replace(segs, ["later"], state) == "a later b"
+def test_replace_empty_output_leaves_blank_line(tmp_path):
+    assert render(tmp_path, "    //<? $a = 1; !>\nrest",
+                  Mode.REPLACE, "java") == "\nrest"
 
 
-def test_replace_no_ensured_newline_without_newline_delims():
-    state = make_state(mode=Mode.REPLACE, style="html")
-    segs = scan("<p><!--<? c !>--></p>", state)
-    assert assemble_replace(segs, ["X"], state) == "<p>X</p>"
+def test_replace_drops_stale_output_block(tmp_path):
+    assert render(tmp_path, "x//<? echo 'NEW'; !>//+\nOLD//-\ny",
+                  Mode.REPLACE, "java") == "xNEW\ny"
+
+
+def test_replace_substitutes_literal_and_pattern_outputs(tmp_path):
+    assert render(tmp_path, "a @NOW@ b", Mode.REPLACE,
+                  init_code="add_regex_hook('@([A-Z]+)@', 'later');") == "a later b"
+
+
+def test_replace_no_ensured_newline_without_newline_delims(tmp_path):
+    assert render(tmp_path, "<p><!--<? echo 'X'; !>--></p>",
+                  Mode.REPLACE, "html") == "<p>X</p>"
 
 
 # --- process_file ----------------------------------------------------------
@@ -251,20 +245,6 @@ def test_process_init_code_errors_name_the_file(tmp_path):
     assert exc.value.file == str(f)
 
 
-def test_process_literal_hooks_update_vs_replace(tmp_path):
-    f = tmp_path / "doc.txt"
-    f.write_text("built @NOW@.")
-    state = make_state(path=str(f))
-    state.hooks.append(Literal("@NOW@", "'July 4, 2020'"))
-    result = process_file(str(f), state)
-    assert result.changed is False  # update leaves literal matches alone
-    out = tmp_path / "out.txt"
-    state = make_state(path=str(f), mode=Mode.REPLACE)
-    state.hooks.append(Literal("@NOW@", "'July 4, 2020'"))
-    process_file(str(f), state, out_path=str(out))
-    assert out.read_text() == "built July 4, 2020."
-
-
 def test_process_pattern_hook_replace_substitutes_captures(tmp_path):
     f = tmp_path / "doc.txt"
     f.write_text("see v42.")
@@ -321,6 +301,40 @@ def test_process_scan_error_leaves_file_untouched(tmp_path):
     assert f.read_text() == "x <? broken"
 
 
+def test_process_changed_agrees_with_the_bytes_written(tmp_path):
+    # Two file names that are not UTF-8 alone but are when concatenated:
+    # the output decodes to a different str on the rerun, yet the same bytes.
+    root = os.fsencode(tmp_path)
+    for name in (b"z\xc3", b"\xa9y"):
+        open(os.path.join(root, name), "wb").close()
+    f = tmp_path / "doc.txt"
+    f.write_text("<? echo glob('z*'), glob('*y'); !>")
+    assert process_file(str(f), make_state(path=str(f))).changed is True
+    assert f.read_bytes() == b"<? echo glob('z*'), glob('*y'); !>#+\nz\xc3\xa9y#-\n"
+    before = os.stat(f)
+    assert process_file(str(f), make_state(path=str(f))).changed is False
+    after = os.stat(f)
+    assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+
+
+def test_process_update_reads_the_input_once(tmp_path, monkeypatch):
+    f = tmp_path / "doc.txt"
+    f.write_text("x<? echo 'hi'; !>y")
+    reads = []
+
+    def counting_open(file, mode="r", *args, **kwargs):
+        if file == str(f) and mode == "rb":
+            reads.append(file)
+        return open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(rewriter, "open", counting_open, raising=False)
+    assert process_file(str(f), make_state(path=str(f))).changed is True
+    assert len(reads) == 1
+    reads.clear()
+    assert process_file(str(f), make_state(path=str(f))).changed is False
+    assert len(reads) == 1
+
+
 # --- write_if_changed ------------------------------------------------------
 
 def test_write_if_changed_skips_identical_content(tmp_path):
@@ -359,3 +373,77 @@ def test_write_if_changed_leaves_no_temp_files(tmp_path):
     write_if_changed(str(f), "new")
     write_if_changed(str(f), "new")
     assert os.listdir(tmp_path) == ["a.txt"]
+
+
+# --- invariants over generated documents -----------------------------------
+
+_OUTER = st.text(alphabet="ab @\n", max_size=6)
+_SNIPPET_CODE = st.sampled_from([
+    "echo 'x';",
+    "$v = 1;",
+    'echo "a\\n\\nb\\n";',
+    'echo "#-\\n";',          # the plain end fence of the python style
+    'echo "#+ x #1-";',
+    'echo "]-";',             # the plain end fence set below
+    'echo "[+\\n";',
+    "echo '@ab@';",
+    "add_regex_hook('@([ab]+)@', '<$1>');",
+    "set_out_delimiters('[', '+', ']', '-');",
+    "set_out_delimiters('#', '+\\n', '#', '-\\n');",
+])
+
+
+@st.composite
+def _documents(draw):
+    """A python-style document: outer text and snippets that either sit
+    mid-line or start an indented line, some as commented multi-line
+    scriptlets."""
+    parts = []
+    for _ in range(draw(st.integers(1, 5))):
+        parts.append(draw(_OUTER))
+        code = draw(_SNIPPET_CODE)
+        indent = draw(st.sampled_from(["", "  ", "\t"]))
+        shape = draw(st.sampled_from(["inline", "line", "commented"]))
+        if shape == "inline":
+            parts.append(f"<? {code} !>")
+        elif shape == "line":
+            parts.append(f"\n{indent}#<? {code} !>\n")
+        else:
+            more = draw(_SNIPPET_CODE)
+            parts.append(f"\n{indent}#<? {code}\n{indent}#   {more}\n{indent}# !>\n")
+    parts.append(draw(_OUTER))
+    return "".join(parts)
+
+
+@settings(deadline=None)
+@given(_documents())
+def test_update_is_a_fixpoint_and_commutes_with_replace(document):
+    with tempfile.TemporaryDirectory() as tmp:
+        f = os.path.join(tmp, "doc.py")
+        out = os.path.join(tmp, "out.py")
+
+        def run(mode, out_path=None):
+            state = make_state(path=f, mode=mode, style="python")
+            return process_file(f, state, out_path=out_path)
+
+        def read(path):
+            with open(path, "rb") as fh:
+                return fh.read()
+
+        with open(f, "w") as fh:
+            fh.write(document)
+        run(Mode.REPLACE, out)
+        replaced = read(out)
+
+        run(Mode.UPDATE)
+        past = 1_000_000_000
+        os.utime(f, (past, past))
+        updated = read(f)
+        before = os.stat(f)
+        assert run(Mode.UPDATE).changed is False
+        after = os.stat(f)
+        assert read(f) == updated
+        assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+
+        run(Mode.REPLACE, out)
+        assert read(out) == replaced

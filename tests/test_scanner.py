@@ -5,7 +5,6 @@ import goldens
 from helpers import concat_segments, make_state
 from textforge.core import (
     BeginEnd,
-    Literal,
     OutDelims,
     Pattern,
     UnterminatedOutputError,
@@ -59,11 +58,6 @@ def test_find_tie_on_start_prefers_shorter_match():
 def test_find_full_tie_prefers_lower_hook_index():
     hooks = [BeginEnd("<?", "!>"), BeginEnd("<?", "!>")]
     assert find_next_match("<?x!>", 0, hooks).hook_index == 0
-
-
-def test_find_literal_hook():
-    hooks = [Literal("FOO", "'x'")]
-    assert find_next_match("..FOO..", 0, hooks) == HookMatch(0, 2, 5)
 
 
 def test_find_pattern_hook_captures():
@@ -121,11 +115,11 @@ def _oracle_find(text, from_, hooks):
                 dangling = s if dangling is None else min(dangling, s)
                 continue
             candidates.append((s, ends[0] + len(hook.end) - s, i))
-        else:
+        else:  # a Pattern whose regex is a plain string
             starts = [s for s in range(from_, len(text) + 1)
-                      if text.startswith(hook.needle, s)]
+                      if text.startswith(hook.regex, s)]
             if starts:
-                candidates.append((starts[0], len(hook.needle), i))
+                candidates.append((starts[0], len(hook.regex), i))
     best = min(candidates) if candidates else None
     if dangling is not None and (best is None or dangling < best[0]):
         return "error"
@@ -137,7 +131,7 @@ def _oracle_find(text, from_, hooks):
 @given(st.text(alphabet="ab<?!># \n", max_size=30), st.integers(0, 30))
 def test_find_matches_brute_force_oracle(text, from_):
     from_ = min(from_, len(text))
-    hooks = DEFAULT_HOOKS + [Literal("ab", "'x'")]
+    hooks = DEFAULT_HOOKS + [Pattern("ab", "")]
     try:
         got = find_next_match(text, from_, hooks)
     except UnterminatedSnippetError:
@@ -250,6 +244,16 @@ def test_scan_records_indent_and_line_prefix():
     assert snip.line_prefix == "    "
 
 
+def test_scan_line_prefix_leaves_out_consumed_output_blocks():
+    # The block's newline must not start a new line: update inserted it,
+    # and the pristine "<? a !> <? b !>" gives b no indent.
+    segs = scan("<? a !>#+\nA#-\n <? b !>#+\nB\n#-\n\n  <? c !>",
+                make_state(style="python"))
+    b, c = [s for s in segs if isinstance(s, Snippet)][1:]
+    assert (b.indent, b.line_prefix) == ("", "<? a !> ")
+    assert (c.indent, c.line_prefix) == ("  ", "  ")
+
+
 def test_scan_snapshots_out_delims_per_snippet():
     state = make_state()
     gen = iter_segments("<? a !>mid<? b !>", state)
@@ -267,7 +271,7 @@ def test_scan_picks_up_hooks_added_mid_file():
     state = make_state()
     gen = iter_segments("<? a !> ZZ tail", state)
     assert isinstance(next(gen), Snippet)
-    state.hooks.append(Literal("ZZ", "'y'"))
+    state.hooks.append(Pattern("ZZ", ""))
     rest = list(gen)
     matches = [s for s in rest if not isinstance(s, (Outer, Snippet))]
     assert len(matches) == 1

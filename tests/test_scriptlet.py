@@ -7,7 +7,6 @@ from helpers import make_state
 from textforge.core import BeginEnd, EvalError, OutDelims, ParseError, Pattern
 from textforge.scriptlet import (
     eval_program,
-    parse_expression,
     parse_scriptlet,
     stringify,
     tokenize,
@@ -121,14 +120,8 @@ def test_parse_unterminated_block():
     assert "'}'" in exc.value.message
 
 
-def test_parse_expression_rejects_trailing_input():
-    parse_expression("'a' . 'b'")
-    with pytest.raises(ParseError):
-        parse_expression("'a'; 'b'")
-
-
 def test_parse_zero_argument_call():
-    parse_expression("file_modification_date()")
+    parse_scriptlet("file_modification_date();")
 
 
 # --- evaluation ----------------------------------------------------------

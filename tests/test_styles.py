@@ -1,14 +1,16 @@
-from textforge.core import BeginEnd, OutDelims, Style
-from textforge.styles import StyleRegistry, builtin_registry, detect_style
+from hypothesis import given, strategies as st
+
+from textforge.core import BeginEnd, OutDelims
+from textforge.styles import STYLES, detect_style
 
 
 def test_registry_has_exactly_the_builtin_styles():
-    assert builtin_registry().names() == \
+    assert sorted(STYLES) == \
         ["default", "html", "java", "makefile", "perl", "python"]
 
 
 def test_default_style():
-    s = builtin_registry().get("default")
+    s = STYLES["default"]
     assert s.hooks == (BeginEnd("#<?", "!>"), BeginEnd("<?", "!>"))
     assert s.line_comment == "#"
     assert s.out_delims == OutDelims("#", "+\n", "#", "-\n")
@@ -17,19 +19,18 @@ def test_default_style():
 
 
 def test_makefile_and_python_adjust_indentation():
-    reg = builtin_registry()
     for name in ("makefile", "python"):
-        s = reg.get(name)
+        s = STYLES[name]
         assert s.indent_adjust is True
         assert s.hooks == (BeginEnd("#<?", "!>"), BeginEnd("<?", "!>"))
-    assert reg.get("makefile").extensions == ("Makefile", "makefile", ".mk")
-    assert reg.get("python").extensions == (".py",)
-    assert reg.get("perl").indent_adjust is False
-    assert reg.get("perl").extensions == (".pl", ".pm")
+    assert STYLES["makefile"].extensions == ("Makefile", "makefile", ".mk")
+    assert STYLES["python"].extensions == (".py",)
+    assert STYLES["perl"].indent_adjust is False
+    assert STYLES["perl"].extensions == (".pl", ".pm")
 
 
 def test_java_style():
-    s = builtin_registry().get("java")
+    s = STYLES["java"]
     assert s.hooks == (BeginEnd("//<?", "!>"), BeginEnd("<?", "!>"))
     assert s.line_comment == "//"
     assert s.out_delims == OutDelims("//", "+\n", "//", "-\n")
@@ -37,7 +38,7 @@ def test_java_style():
 
 
 def test_html_style():
-    s = builtin_registry().get("html")
+    s = STYLES["html"]
     assert s.hooks == (BeginEnd("<!--<?", "!>-->"), BeginEnd("<?", "!>"))
     assert s.line_comment is None
     assert s.out_delims == OutDelims("<!-- +", " -->", "<!-- -", " -->")
@@ -46,56 +47,56 @@ def test_html_style():
 
 def test_comment_hook_always_precedes_bare_hook():
     # leftmost matching then swallows the comment prefix along with the snippet
-    for style in builtin_registry().styles.values():
+    for style in STYLES.values():
         first, second = style.hooks[0], style.hooks[1]
         assert first.begin != second.begin
         assert first.begin.endswith(second.begin)
 
 
 def test_detect_style_by_suffix_and_basename():
-    reg = builtin_registry()
-    assert detect_style("simple.java", reg).name == "java"
-    assert detect_style("/a/b/Makefile", reg).name == "makefile"
-    assert detect_style("makefile", reg).name == "makefile"
-    assert detect_style("build.mk", reg).name == "makefile"
-    assert detect_style("x.py", reg).name == "python"
-    assert detect_style("x.pl", reg).name == "perl"
-    assert detect_style("x.pm", reg).name == "perl"
-    assert detect_style("blog.html", reg).name == "html"
-    assert detect_style("blog.htm", reg).name == "html"
+    assert detect_style("simple.java").name == "java"
+    assert detect_style("/a/b/Makefile").name == "makefile"
+    assert detect_style("makefile").name == "makefile"
+    assert detect_style("build.mk").name == "makefile"
+    assert detect_style("x.py").name == "python"
+    assert detect_style("x.pl").name == "perl"
+    assert detect_style("x.pm").name == "perl"
+    assert detect_style("blog.html").name == "html"
+    assert detect_style("blog.htm").name == "html"
 
 
 def test_detect_style_falls_back_to_default():
-    reg = builtin_registry()
-    assert detect_style("notes.xyz", reg).name == "default"
-    assert detect_style("x.HTML", reg).name == "default"  # case-sensitive
-    assert detect_style("no_extension", reg).name == "default"
+    assert detect_style("notes.xyz").name == "default"
+    assert detect_style("x.HTML").name == "default"  # case-sensitive
+    assert detect_style("no_extension").name == "default"
 
 
-def test_detect_style_exact_basename_wins_over_suffix():
-    reg = builtin_registry()
-    special = Style(name="special", hooks=reg.get("default").hooks,
-                    line_comment="#", out_delims=reg.get("default").out_delims,
-                    extensions=("weird.py",))
-    reg.add(special)
-    assert detect_style("dir/weird.py", reg).name == "special"
-    assert detect_style("dir/other.py", reg).name == "python"
+def _oracle_style(path):
+    """The README rule by brute force: exact basename, then the longest
+    suffix that some style lists, then default."""
+    base = path.rsplit("/", 1)[-1]
+    for style in STYLES.values():
+        if base in style.extensions and not base.startswith("."):
+            return style.name
+    for start in range(len(base)):
+        suffix = base[start:]
+        for style in STYLES.values():
+            if suffix.startswith(".") and suffix in style.extensions:
+                return style.name
+    return "default"
 
 
-def test_detect_style_prefers_longest_suffix():
-    reg = builtin_registry()
-    longer = Style(name="gen", hooks=reg.get("default").hooks,
-                   line_comment="#", out_delims=reg.get("default").out_delims,
-                   extensions=(".gen.py",))
-    reg.add(longer)
-    assert detect_style("models.gen.py", reg).name == "gen"
-    assert detect_style("models.py", reg).name == "python"
+_NAME_FRAGMENTS = ("Makefile", "makefile", ".mk", ".py", ".pl", ".pm", ".java",
+                   ".html", ".htm", ".HTML", "x", ".", "/")
+
+
+@given(st.lists(st.sampled_from(_NAME_FRAGMENTS), max_size=6))
+def test_detect_style_matches_the_readme_rule(fragments):
+    path = "".join(fragments)
+    assert detect_style(path).name == _oracle_style(path)
 
 
 def test_registry_add_and_get():
-    reg = StyleRegistry()
-    assert reg.get("nope") is None
-    base = builtin_registry().get("default")
-    reg.add(base)
-    assert reg.get("default") is base
-    assert reg.names() == ["default"]
+    assert STYLES.get("nope") is None
+    for name, style in STYLES.items():
+        assert style.name == name
