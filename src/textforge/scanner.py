@@ -2,9 +2,10 @@
 
 Scanning is incremental: `iter_segments` is a generator that re-reads the
 state's hook list before every search, so a snippet that registers new hooks
-affects everything after it. Concatenating the raw text of every segment
-(including each snippet's consumed existing-output block) reproduces the
-input byte for byte.
+affects everything after it. It remembers where each hook occurs next, so a
+scan searches the text about once per hook. Concatenating the raw text of
+every segment (including each snippet's consumed existing-output block)
+reproduces the input byte for byte.
 """
 from __future__ import annotations
 
@@ -85,51 +86,62 @@ class HookMatch:
     captures: tuple[str, ...] = ()
 
 
+def _search(text: str, hook: Hook, from_: int):
+    """(start, end, captures) of the first match of `hook` at or after
+    `from_`, with end None for a begin delimiter that is never terminated;
+    None if there is none. It depends on (text, hook) only, so it stays the
+    answer for every later `from_` up to its start."""
+    if isinstance(hook, BeginEnd):
+        b = text.find(hook.begin, from_)
+        if b < 0:
+            return None
+        e = text.find(hook.end, b + len(hook.begin))
+        return b, (e + len(hook.end) if e >= 0 else None), ()
+    # Zero-width matches are skipped: they carry no text to rewrite and
+    # would stall the scan. (re.search clamps pos to len(text) and keeps
+    # reporting the final empty match, hence the bound.)
+    rx = re.compile(hook.regex)
+    at = from_
+    while at <= len(text):
+        m = rx.search(text, at)
+        if m is None:
+            return None
+        if m.end() > m.start():
+            return m.start(), m.end(), tuple(g or "" for g in m.groups()[:9])
+        at = m.start() + 1
+    return None
+
+
 def find_next_match(text: str, from_: int, hooks: list[Hook],
-                    *, file: str | None = None) -> Optional[HookMatch]:
+                    *, file: str | None = None,
+                    cache: dict | None = None) -> Optional[HookMatch]:
     """Earliest hook match at or after `from_`.
 
     Ties are broken by smallest start, then smallest match length, then
     smallest hook index. A begin delimiter with no end delimiter anywhere
     after it is a hard error once no complete match starts before it.
+    `cache` keeps each hook's `_search` result between calls over one text
+    with non-decreasing `from_`; a hook is searched again once it is passed.
     """
+    cache = {} if cache is None else cache
     best: Optional[HookMatch] = None
     best_key: tuple[int, int, int] | None = None
     dangling: int | None = None  # earliest unterminated begin
 
     for i, hook in enumerate(hooks):
-        if isinstance(hook, BeginEnd):
-            b = text.find(hook.begin, from_)
-            if b < 0:
-                continue
-            e = text.find(hook.end, b + len(hook.begin))
-            if e < 0:
-                if dangling is None or b < dangling:
-                    dangling = b
-                continue
-            cand = HookMatch(i, b, e + len(hook.end))
-        else:
-            # Zero-width matches are skipped: they carry no text to rewrite
-            # and would stall the scan. (re.search clamps pos to len(text)
-            # and keeps reporting the final empty match, hence the bound.)
-            rx = re.compile(hook.regex)
-            at = from_
-            m = None
-            while at <= len(text):
-                found = rx.search(text, at)
-                if found is None:
-                    break
-                if found.end() > found.start():
-                    m = found
-                    break
-                at = found.start() + 1
-            if m is None:
-                continue
-            groups = tuple(g if g is not None else "" for g in m.groups()[:9])
-            cand = HookMatch(i, m.start(), m.end(), groups)
-        key = (cand.start, cand.end - cand.start, i)
+        found = cache.get(hook, (-1,))  # -1: not searched yet
+        if found is not None and found[0] < from_:
+            found = cache[hook] = _search(text, hook, from_)
+        if found is None:
+            continue
+        start, end, captures = found
+        if end is None:
+            if dangling is None or start < dangling:
+                dangling = start
+            continue
+        key = (start, end - start, i)
         if best_key is None or key < best_key:
-            best, best_key = cand, key
+            best, best_key = HookMatch(i, start, end, captures), key
 
     if dangling is not None and (best is None or dangling < best.start):
         ln, col = line_col(text, dangling)
@@ -203,8 +215,10 @@ def iter_segments(text: str, state: EngineState) -> Iterator[Segment]:
     n = len(text)
     line_start = 0
     skipped: list[tuple[int, int]] = []  # blocks consumed on the source line
+    found: dict = {}  # hook -> its next occurrence, for find_next_match
     while True:
-        match = find_next_match(text, pos, state.hooks, file=state.file_path)
+        match = find_next_match(text, pos, state.hooks, file=state.file_path,
+                                cache=found)
         if match is None:
             if pos < n:
                 yield Outer(text[pos:])

@@ -67,10 +67,17 @@ def tokenize(source: str) -> list[Token]:
     tokens: list[Token] = []
     i = 0
     n = len(source)
+    line, line_start, seen = 1, 0, 0  # line number and start at offset seen
 
     def tok(kind: str, value: str, at: int) -> None:
-        ln, col = line_col(source, at)
-        tokens.append(Token(kind, value, ln, col))
+        # Tokens come in source order, so count newlines from the last one.
+        nonlocal line, line_start, seen
+        newline = source.rfind("\n", seen, at)
+        if newline >= 0:
+            line += source.count("\n", seen, newline + 1)
+            line_start = newline + 1
+        seen = at
+        tokens.append(Token(kind, value, line, at - line_start + 1))
 
     def fail(message: str, at: int) -> ParseError:
         ln, col = line_col(source, at)
@@ -172,8 +179,7 @@ def tokenize(source: str) -> list[Token]:
             continue
         raise fail(f"unexpected character {ch!r}", i)
 
-    ln, col = line_col(source, n)
-    tokens.append(Token("eof", "", ln, col))
+    tok("eof", "", n)
     return tokens
 
 
@@ -266,10 +272,17 @@ class Program:
     stmts: tuple
 
 
+# Parentheses, call arguments, ?: branches and blocks, nested in any mix.
+# The parser and evaluator recurse once per level, so this keeps both far
+# from Python's recursion limit.
+MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     def peek(self, ahead: int = 0) -> Token:
         return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
@@ -298,6 +311,13 @@ class _Parser:
     def at_keyword(self, word: str) -> bool:
         t = self.peek()
         return t.kind == "ident" and t.value == word
+
+    def nest(self) -> None:
+        """Enter one nesting level; the caller leaves it by decrementing
+        `depth` on success (a ParseError ends the whole parse)."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise self.fail(f"nesting deeper than {MAX_NESTING} levels")
 
     # statements
 
@@ -351,6 +371,7 @@ class _Parser:
         return ExprStmt(expr)
 
     def block(self) -> tuple:
+        self.nest()
         self.expect_op("{")
         stmts = []
         while not self.at_op("}"):
@@ -358,12 +379,16 @@ class _Parser:
                 raise self.fail("unterminated block: missing '}'")
             stmts.append(self.statement())
         self.advance()
+        self.depth -= 1
         return tuple(stmts)
 
     # expressions
 
     def expression(self):
-        return self.ternary()
+        self.nest()
+        expr = self.ternary()
+        self.depth -= 1
+        return expr
 
     def ternary(self):
         cond = self.comparison()

@@ -127,3 +127,12 @@ def test_main_reports_scriptlet_error_position(tmp_path, capsys):
     f.write_text("line1\n  //<? $x = $nope; !>\n")
     assert main([str(f)]) == 1
     assert f"{f}:2:13: undefined variable $nope" in capsys.readouterr().err
+
+
+def test_main_reports_deep_nesting_without_a_traceback(tmp_path, capsys):
+    f = tmp_path / "deep.txt"
+    source = "x\n<? echo " + "(" * 3000 + "'a'" + ")" * 3000 + "; !>\n"
+    f.write_text(source)
+    assert main([str(f)]) == 1
+    assert capsys.readouterr().err == f"{f}:2:109: nesting deeper than 100 levels\n"
+    assert f.read_text() == source

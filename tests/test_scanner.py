@@ -1,10 +1,16 @@
+import re
+import types
+from unittest import mock
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import goldens
 from helpers import concat_segments, make_state
+from textforge import scanner
 from textforge.core import (
     BeginEnd,
+    EngineError,
     OutDelims,
     Pattern,
     UnterminatedOutputError,
@@ -20,6 +26,7 @@ from textforge.scanner import (
     iter_segments,
     scan,
 )
+from textforge.scriptlet import eval_program, parse_scriptlet
 
 DEFAULT_HOOKS = [BeginEnd("#<?", "!>"), BeginEnd("<?", "!>")]
 JAVA_HOOKS = [BeginEnd("//<?", "!>"), BeginEnd("<?", "!>")]
@@ -306,3 +313,87 @@ def test_scan_concat_reproduces_input(text):
     except UnterminatedSnippetError:
         return  # dangling begin: scan aborts rather than guessing
     assert concat_segments(segs) == text
+
+
+# --- linear scanning: each hook's next occurrence is remembered ------------
+
+def _run_snippets(text, state):
+    """Scan as process_file does, evaluating each snippet before the next
+    segment is pulled. Returns the segments and the error that ended the
+    scan (None if it ran to the end)."""
+    segs = []
+    try:
+        for seg in iter_segments(text, state):
+            segs.append(seg)
+            if isinstance(seg, Snippet):
+                state.out_buffer = ""
+                eval_program(parse_scriptlet(seg.code), state)
+    except EngineError as exc:
+        return segs, (type(exc), exc.line, exc.col, exc.message)
+    return segs, None
+
+
+def test_scan_searches_an_inert_hook_once(monkeypatch):
+    searched = []
+    search = scanner._search
+
+    def counting(text, hook, from_):
+        searched.append(hook)
+        return search(text, hook, from_)
+
+    monkeypatch.setattr(scanner, "_search", counting)
+    text = "<? add_hook('[[', ']]'); !>\n" + "line <? $v = 1; !>\n" * 199
+    segs, error = _run_snippets(text, make_state())
+    assert error is None
+    assert sum(isinstance(seg, Snippet) for seg in segs) == 200
+    assert searched.count(BeginEnd("[[", "]]")) == 1
+
+
+def test_scan_zero_width_regex_tries_each_position_about_once(monkeypatch):
+    tries = 0
+
+    class CountingRegex:
+        def __init__(self, regex):
+            self.rx = re.compile(regex)
+
+        def search(self, text, pos):
+            nonlocal tries
+            tries += 1
+            return self.rx.search(text, pos)
+
+    monkeypatch.setattr(scanner, "re", types.SimpleNamespace(compile=CountingRegex))
+    text = "<? add_regex_hook('q*', 'Q'); !>\n" + "".join(
+        f"text{'q' if i % 50 == 0 else ''} <? $v = {i}; !>\n" for i in range(199))
+    segs, error = _run_snippets(text, make_state())
+    assert error is None
+    assert sum(isinstance(seg, PatternMatch) for seg in segs) == 4
+    assert tries <= len(text) + 200
+
+
+_FRAGMENTS = st.sampled_from([
+    "a", "q", "x", "ax", "qq", " ", "\n", "[[", "]]", "[[ $v = 1; ]]",
+    "#+\nold#-\n", "//+\nold//-\n",
+    "<? add_hook('[[', ']]'); !>",
+    "<? add_hook('a', 'x'); !>",
+    "<? add_regex_hook('q*', 'Q'); !>",
+    "<? add_regex_hook('|a', '-'); !>",
+    "<? add_regex_hook('a*?', '-'); !>",
+    "<? add_regex_hook('\\bx', 'X'); !>",
+    "<? add_regex_hook('(a)(q)?', '$1'); !>",
+    "<? set_style('java'); !>",
+    "//<? set_style('default'); !>",
+    "<? echo 'x'; !>",
+    "<? $v = '[['; !>",
+])
+
+
+@settings(deadline=None)
+@given(st.lists(_FRAGMENTS, max_size=14).map("".join))
+def test_scan_cache_agrees_with_fresh_searches(text):
+    def uncached(text, from_, hooks, *, file=None, cache=None):
+        return find_next_match(text, from_, hooks, file=file)
+
+    cached = _run_snippets(text, make_state())
+    with mock.patch.object(scanner, "find_next_match", uncached):
+        fresh = _run_snippets(text, make_state())
+    assert cached == fresh

@@ -2,10 +2,12 @@ import os
 from datetime import datetime
 
 import pytest
+from hypothesis import given, strategies as st
 
 from helpers import make_state
 from textforge.core import BeginEnd, EvalError, OutDelims, ParseError, Pattern
 from textforge.scriptlet import (
+    MAX_NESTING,
     eval_program,
     parse_scriptlet,
     stringify,
@@ -85,6 +87,29 @@ def test_tokenize_comments_run_to_end_of_line():
     assert kinds == ["ident", "int", "op", "eof"]
 
 
+_LEXEMES = st.sampled_from([
+    "$v", "$_x1", "name", "echo", "42", "'a\\'b'", "''", '"a\\n\\"b"',
+    '"""\nx\ny"""', '""""""', "==", "!=", "=", "<", ">", "?", ":", ".", ",",
+    ";", "(", ")", "{", "}",
+])
+_GAPS = st.sampled_from([" ", "\t", "\n", "\r\n", "  # note\n", "\n\n  "])
+
+
+@given(st.lists(st.tuples(_GAPS, _LEXEMES), max_size=20), _GAPS)
+def test_tokenize_positions_point_at_the_token_text(pairs, tail):
+    source = "".join(gap + lexeme for gap, lexeme in pairs) + tail
+    lines = source.split("\n")
+
+    def offset(token):
+        return sum(len(line) + 1 for line in lines[:token.line - 1]) + token.col - 1
+
+    tokens = tokenize(source)
+    assert len(tokens) == len(pairs) + 1
+    for (_, lexeme), token in zip(pairs, tokens):
+        assert source.startswith(lexeme, offset(token))
+    assert offset(tokens[-1]) == len(source)
+
+
 # --- parser --------------------------------------------------------------
 
 def test_parse_all_statement_forms():
@@ -122,6 +147,18 @@ def test_parse_unterminated_block():
 
 def test_parse_zero_argument_call():
     parse_scriptlet("file_modification_date();")
+
+
+def test_parse_nesting_limit():
+    deepest = "(" * (MAX_NESTING - 1) + "'a'" + ")" * (MAX_NESTING - 1)
+    assert run(f"echo {deepest};") == "a"
+    with pytest.raises(ParseError) as exc:
+        parse_scriptlet(f"echo\n  ({deepest});")
+    assert (exc.value.line, exc.value.col) == (2, MAX_NESTING + 3)  # the 101st "("
+    assert exc.value.message == f"nesting deeper than {MAX_NESTING} levels"
+    blocks = "if (1) { " * MAX_NESTING + "$x = 1;" + " }" * MAX_NESTING
+    with pytest.raises(ParseError):
+        parse_scriptlet(blocks)
 
 
 # --- evaluation ----------------------------------------------------------
