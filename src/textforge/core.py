@@ -127,6 +127,7 @@ class EngineState:
     Snippets may retarget `hooks`, `out_delims`, `line_comment` and
     `indent_adjust` mid-file; mutations affect all subsequent scanning.
     `out_buffer` is the scriptlet accumulator `$O`, reset before each snippet.
+    `listings` maps each directory `glob()` has read to its sorted entries.
     """
 
     mode: Mode
@@ -140,6 +141,7 @@ class EngineState:
     conf_loaded: bool = False
     base_dir: str = ""
     file_mtime: float | None = None
+    listings: dict[str, list[str]] = field(default_factory=dict)
 
 
 def new_engine_state(path: str, mode: Mode, style: Style) -> EngineState:

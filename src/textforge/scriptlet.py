@@ -14,11 +14,17 @@ forms. Expressions: ``?:``, one comparison (``== != < >``), ``.``
 concatenation, calls, and literals. ``==``/``!=`` compare stringified values;
 ``<``/``>`` compare numerically when both sides are integers, otherwise
 lexicographically. Truthiness: ``""``, ``0``, false and the empty list are
-false. Strings come single-quoted (escapes ``\\'`` ``\\\\`` only),
-double-quoted (escapes ``\\n \\t \\\\ \\" \\$``) or triple-double-quoted
-(verbatim, multi-line; one newline directly after the opening quotes is
-dropped). ``#`` comments run to end of line. Reading an undefined variable
-is an error.
+false. Integer literals are ASCII digits. Strings come single-quoted (escapes
+``\\'`` ``\\\\`` only), double-quoted (escapes ``\\n \\t \\\\ \\" \\$``) or
+triple-double-quoted (verbatim, multi-line; one newline directly after the
+opening quotes is dropped). ``#`` comments run to end of line. Reading an
+undefined variable is an error.
+
+The parser compiles each expression and statement into a closure that takes
+the state of one run (`_Run`), so evaluation walks no tree. What only a run
+can tell (unknown functions, bad arity, undefined variables, a ``for`` over a
+non-list, the budgets below) fails when the closure runs, so a bad call in a
+branch that never runs is harmless.
 """
 from __future__ import annotations
 
@@ -41,25 +47,16 @@ from .styles import STYLES
 
 KEYWORDS = frozenset({"echo", "if", "else", "for", "in"})
 
-_TWO_CHAR_OPS = ("==", "!=")
 _ONE_CHAR_OPS = "=<>?:.,;(){}"
 _DQ_ESCAPES = {"n": "\n", "t": "\t", "\\": "\\", '"': '"', "$": "$"}
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Token:
     kind: str  # ident | var | int | str | op | eof
     value: str
     line: int
     col: int
-
-
-def _is_ident_start(ch: str) -> bool:
-    return ch.isalpha() or ch == "_"
-
-
-def _is_ident_char(ch: str) -> bool:
-    return ch.isalnum() or ch == "_"
 
 
 def tokenize(source: str) -> list[Token]:
@@ -69,41 +66,32 @@ def tokenize(source: str) -> list[Token]:
     n = len(source)
     line, line_start, seen = 1, 0, 0  # line number and start at offset seen
 
-    def tok(kind: str, value: str, at: int) -> None:
-        # Tokens come in source order, so count newlines from the last one.
-        nonlocal line, line_start, seen
-        newline = source.rfind("\n", seen, at)
-        if newline >= 0:
-            line += source.count("\n", seen, newline + 1)
-            line_start = newline + 1
-        seen = at
-        tokens.append(Token(kind, value, line, at - line_start + 1))
-
     def fail(message: str, at: int) -> ParseError:
         ln, col = line_col(source, at)
         return ParseError(message, line=ln, col=col)
 
-    while i < n:
-        ch = source[i]
-        if ch in " \t\r\n":
-            i += 1
-            continue
-        if ch == "#":
-            j = source.find("\n", i)
-            i = n if j < 0 else j + 1
-            continue
-        if source.startswith('"""', i):
+    while True:
+        while i < n:
+            ch = source[i]
+            if ch in " \t\r\n":
+                i += 1
+            elif ch == "#":
+                j = source.find("\n", i)
+                i = n if j < 0 else j + 1
+            else:
+                break
+        start = i
+        if i >= n:
+            kind, value = "eof", ""
+        elif ch == '"' and source.startswith('"""', i):
             end = source.find('"""', i + 3)
             if end < 0:
                 raise fail("unterminated triple-quoted string", i)
-            body = source[i + 3:end]
-            if body.startswith("\n"):
-                body = body[1:]
-            tok("str", body, i)
-            i = end + 3
-            continue
-        if ch == '"':
-            start = i
+            value = source[i + 3:end]
+            if value.startswith("\n"):
+                value = value[1:]
+            kind, i = "str", end + 3
+        elif ch == '"':
             i += 1
             parts: list[str] = []
             while True:
@@ -124,10 +112,8 @@ def tokenize(source: str) -> list[Token]:
                     continue
                 parts.append(c)
                 i += 1
-            tok("str", "".join(parts), start)
-            continue
-        if ch == "'":
-            start = i
+            kind, value = "str", "".join(parts)
+        elif ch == "'":
             i += 1
             parts = []
             while True:
@@ -143,174 +129,108 @@ def tokenize(source: str) -> list[Token]:
                     continue
                 parts.append(c)
                 i += 1
-            tok("str", "".join(parts), start)
-            continue
-        if ch == "$":
-            if i + 1 >= n or not _is_ident_start(source[i + 1]):
+            kind, value = "str", "".join(parts)
+        elif ch == "$" or ch.isalpha() or ch == "_":
+            # A name starts with a letter or "_"; a variable is "$" and a name.
+            first = i + 1 if ch == "$" else i
+            if first >= n or not (source[first].isalpha() or source[first] == "_"):
                 raise fail("'$' must be followed by a variable name", i)
+            j = first + 1
+            while j < n and ((c := source[j]).isalnum() or c == "_"):
+                j += 1
+            kind = "var" if ch == "$" else "ident"
+            value, i = source[first:j], j
+        elif "0" <= ch <= "9":
             j = i + 1
-            while j < n and _is_ident_char(source[j]):
+            while j < n and "0" <= source[j] <= "9":
                 j += 1
-            tok("var", source[i + 1:j], i)
-            i = j
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and source[j].isdigit():
-                j += 1
-            tok("int", source[i:j], i)
-            i = j
-            continue
-        if _is_ident_start(ch):
-            j = i
-            while j < n and _is_ident_char(source[j]):
-                j += 1
-            tok("ident", source[i:j], i)
-            i = j
-            continue
-        two = source[i:i + 2]
-        if two in _TWO_CHAR_OPS:
-            tok("op", two, i)
+            kind, value, i = "int", source[i:j], j
+        elif ch in "=!" and source.startswith("=", i + 1):
+            kind, value = "op", ch + "="
             i += 2
-            continue
-        if ch in _ONE_CHAR_OPS:
-            tok("op", ch, i)
+        elif ch in _ONE_CHAR_OPS:
+            kind, value = "op", ch
             i += 1
-            continue
-        raise fail(f"unexpected character {ch!r}", i)
+        else:
+            raise fail(f"unexpected character {ch!r}", i)
 
-    tok("eof", "", n)
-    return tokens
-
-
-# --- AST ---------------------------------------------------------------
-
-@dataclass(frozen=True, slots=True)
-class Str:
-    value: str
-    line: int = 0
-    col: int = 0
+        # Tokens come in source order, so count newlines from the last one.
+        newline = source.rfind("\n", seen, start)
+        if newline >= 0:
+            line += source.count("\n", seen, newline + 1)
+            line_start = newline + 1
+        seen = start
+        tokens.append(Token(kind, value, line, start - line_start + 1))
+        if kind == "eof":
+            return tokens
 
 
-@dataclass(frozen=True, slots=True)
-class IntLit:
-    value: int
-    line: int = 0
-    col: int = 0
-
-
-@dataclass(frozen=True, slots=True)
-class Var:
-    name: str
-    line: int = 0
-    col: int = 0
-
-
-@dataclass(frozen=True, slots=True)
-class Call:
-    name: str
-    args: tuple
-    line: int = 0
-    col: int = 0
-
-
-@dataclass(frozen=True, slots=True)
-class Concat:
-    parts: tuple
-
-
-@dataclass(frozen=True, slots=True)
-class Compare:
-    op: str
-    left: object
-    right: object
-
-
-@dataclass(frozen=True, slots=True)
-class Ternary:
-    cond: object
-    then: object
-    other: object
-
-
-@dataclass(frozen=True, slots=True)
-class Assign:
-    name: str
-    expr: object
-    line: int = 0
-    col: int = 0
-
-
-@dataclass(frozen=True, slots=True)
-class EchoStmt:
-    args: tuple
-
-
-@dataclass(frozen=True, slots=True)
-class If:
-    cond: object
-    then: tuple
-    other: tuple | None
-
-
-@dataclass(frozen=True, slots=True)
-class For:
-    var: str
-    items: object
-    body: tuple
-    line: int = 0
-    col: int = 0
-
-
-@dataclass(frozen=True, slots=True)
-class ExprStmt:
-    expr: object
+# Parentheses, call arguments, ?: branches and blocks, nested in any mix.
+# The parser and the compiled closures recurse once per level, so this keeps
+# both far from Python's recursion limit.
+MAX_NESTING = 100
+# Budgets of one eval_program call: iterations of all its `for` loops, and
+# the length of $O, of each `.` concatenation and of each join() and
+# htmlquote() result.
+MAX_LOOP_ITERATIONS = 1_000_000
+MAX_STRING = 2**26
 
 
 @dataclass(frozen=True, slots=True)
 class Program:
-    stmts: tuple
+    stmts: tuple  # compiled statements, each a callable taking a _Run
 
 
-# Parentheses, call arguments, ?: branches and blocks, nested in any mix.
-# The parser and evaluator recurse once per level, so this keeps both far
-# from Python's recursion limit.
-MAX_NESTING = 100
+class _Run:
+    """What one eval_program call works on. `$O` is kept as a list of pieces
+    that is joined only when it is read, assigned or the run ends, so a run
+    of echoes costs time linear in the output."""
+
+    __slots__ = ("state", "scope", "out", "out_len", "loops")
+
+    def __init__(self, state: EngineState):
+        self.state = state
+        self.scope = state.scope
+        self.out = [state.out_buffer]
+        self.out_len = len(state.out_buffer)
+        self.loops = 0
+
+    def read_out(self) -> str:
+        text = "".join(self.out)
+        self.out[:] = [text]
+        return text
 
 
 class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
+        self.t = tokens[0]  # the current token; the last one is eof
         self.depth = 0
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
-
     def advance(self) -> Token:
-        t = self.tokens[self.pos]
+        t = self.t
         if t.kind != "eof":
             self.pos += 1
+            self.t = self.tokens[self.pos]
         return t
 
     def fail(self, message: str, tok: Token | None = None) -> ParseError:
-        t = tok or self.peek()
+        t = tok or self.t
         return ParseError(message, line=t.line, col=t.col)
 
     def expect_op(self, op: str) -> Token:
-        t = self.peek()
+        t = self.t
         if t.kind != "op" or t.value != op:
             got = t.value or t.kind
             raise self.fail(f"expected '{op}', got {got!r}", t)
         return self.advance()
 
     def at_op(self, op: str) -> bool:
-        t = self.peek()
-        return t.kind == "op" and t.value == op
+        return self.t.kind == "op" and self.t.value == op
 
     def at_keyword(self, word: str) -> bool:
-        t = self.peek()
-        return t.kind == "ident" and t.value == word
+        return self.t.kind == "ident" and self.t.value == word
 
     def nest(self) -> None:
         """Enter one nesting level; the caller leaves it by decrementing
@@ -323,40 +243,45 @@ class _Parser:
 
     def program(self) -> Program:
         stmts = []
-        while self.peek().kind != "eof":
+        while self.t.kind != "eof":
             stmts.append(self.statement())
         return Program(tuple(stmts))
 
     def statement(self):
-        t = self.peek()
-        if t.kind == "var" and self.peek(1).kind == "op" and self.peek(1).value == "=":
-            self.advance()
-            self.advance()
-            expr = self.expression()
-            self.expect_op(";")
-            return Assign(t.value, expr, t.line, t.col)
-        if self.at_keyword("echo"):
+        t = self.t
+        if t.kind == "var":
+            after = self.tokens[self.pos + 1]  # exists: t is not eof
+            if after.kind == "op" and after.value == "=":
+                self.advance()
+                self.advance()
+                expr = self.expression()
+                self.expect_op(";")
+                return _assign(t.value, expr)
+        elif t.kind == "ident" and t.value == "echo":
             self.advance()
             args = [self.expression()]
             while self.at_op(","):
                 self.advance()
                 args.append(self.expression())
             self.expect_op(";")
-            return EchoStmt(tuple(args))
-        if self.at_keyword("if"):
+            return _echo(tuple(args), t)
+        elif t.kind == "ident" and t.value == "if":
             self.advance()
             self.expect_op("(")
             cond = self.expression()
             self.expect_op(")")
             then = self.block()
-            other = None
+            other = _nothing
             if self.at_keyword("else"):
                 self.advance()
                 other = self.block()
-            return If(cond, then, other)
-        if self.at_keyword("for"):
+
+            def if_(run):
+                (then if truthy(cond(run)) else other)(run)
+            return if_
+        elif t.kind == "ident" and t.value == "for":
             self.advance()
-            var = self.peek()
+            var = self.t
             if var.kind != "var":
                 raise self.fail("expected a loop variable after 'for'", var)
             self.advance()
@@ -364,75 +289,101 @@ class _Parser:
                 raise self.fail("expected 'in' in for statement")
             self.advance()
             items = self.expression()
-            body = self.block()
-            return For(var.value, items, body, var.line, var.col)
+            return _loop(t, var, items, self.block())
         expr = self.expression()
         self.expect_op(";")
-        return ExprStmt(expr)
+        return expr
 
-    def block(self) -> tuple:
+    def block(self):
         self.nest()
         self.expect_op("{")
         stmts = []
         while not self.at_op("}"):
-            if self.peek().kind == "eof":
+            if self.t.kind == "eof":
                 raise self.fail("unterminated block: missing '}'")
             stmts.append(self.statement())
         self.advance()
         self.depth -= 1
-        return tuple(stmts)
+        if len(stmts) == 1:
+            return stmts[0]
+        stmts = tuple(stmts)
+
+        def block(run):
+            for stmt in stmts:
+                stmt(run)
+        return block
 
     # expressions
 
     def expression(self):
         self.nest()
-        expr = self.ternary()
-        self.depth -= 1
-        return expr
-
-    def ternary(self):
         cond = self.comparison()
         if self.at_op("?"):
             self.advance()
             then = self.expression()
             self.expect_op(":")
             other = self.expression()
-            return Ternary(cond, then, other)
+            self.depth -= 1
+            return lambda run: (then if truthy(cond(run)) else other)(run)
+        self.depth -= 1
         return cond
 
     def comparison(self):
         left = self.concat()
-        t = self.peek()
-        if t.kind == "op" and t.value in ("==", "!=", "<", ">"):
-            self.advance()
-            right = self.concat()
-            return Compare(t.value, left, right)
-        return left
+        t = self.t
+        if t.kind != "op" or t.value not in ("==", "!=", "<", ">"):
+            return left
+        self.advance()
+        right = self.concat()
+        if t.value == "==":
+            return lambda run: stringify(left(run)) == stringify(right(run))
+        if t.value == "!=":
+            return lambda run: stringify(left(run)) != stringify(right(run))
+        less = t.value == "<"
+
+        def order(run):
+            a, b = left(run), right(run)
+            if type(a) is not int or type(b) is not int:
+                a, b = stringify(a), stringify(b)
+            return a < b if less else a > b
+        return order
 
     def concat(self):
-        parts = [self.primary()]
+        first = self.primary()
+        if not self.at_op("."):
+            return first
+        at = self.t
+        parts = [first]
         while self.at_op("."):
             self.advance()
             parts.append(self.primary())
-        if len(parts) == 1:
-            return parts[0]
-        return Concat(tuple(parts))
+        parts = tuple(parts)
+
+        def concat(run):
+            texts = [stringify(part(run)) for part in parts]
+            if sum(map(len, texts)) > MAX_STRING:
+                raise EvalError(f"string longer than {MAX_STRING} characters",
+                                line=at.line, col=at.col)
+            return "".join(texts)
+        return concat
 
     def primary(self):
-        t = self.peek()
+        t = self.advance()
         if t.kind == "str":
-            self.advance()
-            return Str(t.value, t.line, t.col)
+            value = t.value
+            return lambda run: value
         if t.kind == "int":
-            self.advance()
-            return IntLit(int(t.value), t.line, t.col)
+            try:
+                number = int(t.value)
+            except ValueError:  # beyond int()'s limit on digits
+                raise self.fail(f"integer literal too long ({len(t.value)} digits)",
+                                t) from None
+            return lambda run: number
         if t.kind == "var":
-            self.advance()
-            return Var(t.value, t.line, t.col)
+            return _variable(t)
         if t.kind == "ident":
             if t.value in KEYWORDS:
                 raise self.fail(f"unexpected keyword '{t.value}'", t)
-            self.advance()
             self.expect_op("(")
             args = []
             if not self.at_op(")"):
@@ -441,9 +392,8 @@ class _Parser:
                     self.advance()
                     args.append(self.expression())
             self.expect_op(")")
-            return Call(t.value, tuple(args), t.line, t.col)
-        if self.at_op("("):
-            self.advance()
+            return _call(t, tuple(args))
+        if t.kind == "op" and t.value == "(":
             expr = self.expression()
             self.expect_op(")")
             return expr
@@ -451,8 +401,101 @@ class _Parser:
         raise self.fail(f"expected an expression, got {got!r}", t)
 
 
+# --- closures the parser compiles to -----------------------------------
+
+def _nothing(run: _Run) -> None:
+    pass
+
+
+def _assign(name: str, expr):
+    if name != "O":
+        def assign(run):
+            run.scope[name] = expr(run)
+        return assign
+
+    def assign_out(run):
+        text = stringify(expr(run))
+        run.out[:] = [text]
+        run.out_len = len(text)
+    return assign_out
+
+
+def _echo(args: tuple, at: Token):
+    def echo(run):
+        out, size = run.out, run.out_len
+        for arg in args:
+            value = arg(run)
+            text = value if type(value) is str else stringify(value)
+            size += len(text)
+            if size > MAX_STRING:
+                raise EvalError(f"output longer than {MAX_STRING} characters",
+                                line=at.line, col=at.col)
+            out.append(text)
+        run.out_len = size
+    return echo
+
+
+def _loop(at: Token, var: Token, items, body):
+    name = var.value
+
+    def loop(run):
+        seq = items(run)
+        if not isinstance(seq, list):
+            raise EvalError("for statement needs a list to iterate",
+                            line=var.line, col=var.col)
+        run.loops += len(seq)
+        if run.loops > MAX_LOOP_ITERATIONS:
+            raise EvalError(f"more than {MAX_LOOP_ITERATIONS} loop iterations",
+                            line=at.line, col=at.col)
+        scope = run.scope
+        for item in seq:
+            scope[name] = item
+            body(run)
+    return loop
+
+
+def _variable(t: Token):
+    name = t.value
+    if name == "O":
+        return _Run.read_out
+
+    def variable(run):
+        try:
+            return run.scope[name]
+        except KeyError:
+            raise EvalError(f"undefined variable ${name}",
+                            line=t.line, col=t.col) from None
+    return variable
+
+
+def _call(t: Token, args: tuple):
+    """A builtin call. Unknown names and bad arity fail only when run."""
+    name = t.value
+    entry = BUILTINS.get(name)
+    if entry is None:
+        message = f"unknown function '{name}'"
+    elif len(args) != entry[0]:
+        message = f"{name}() takes {entry[0]} argument(s), got {len(args)}"
+    else:
+        fn = entry[1]
+
+        def call(run):
+            values = [arg(run) for arg in args]
+            try:
+                return fn(run.state, *values)
+            except EvalError as exc:
+                if not exc.line:
+                    raise EvalError(exc.message, line=t.line, col=t.col) from None
+                raise
+        return call
+
+    def bad_call(run):
+        raise EvalError(message, line=t.line, col=t.col)
+    return bad_call
+
+
 def parse_scriptlet(source: str) -> Program:
-    """Parse a whole scriptlet program."""
+    """Parse a whole scriptlet program into runnable closures."""
     return _Parser(tokenize(source)).program()
 
 
@@ -479,104 +522,16 @@ def truthy(value: Value) -> bool:
     return len(value) > 0
 
 
-def _compare(op: str, left: Value, right: Value) -> bool:
-    if op in ("==", "!="):
-        eq = stringify(left) == stringify(right)
-        return eq if op == "==" else not eq
-    if type(left) is int and type(right) is int:
-        return left < right if op == "<" else left > right
-    a, b = stringify(left), stringify(right)
-    return a < b if op == "<" else a > b
-
-
-class _Evaluator:
-    def __init__(self, state: EngineState):
-        self.state = state
-
-    def err(self, node, message: str) -> EvalError:
-        return EvalError(message, line=getattr(node, "line", 0),
-                         col=getattr(node, "col", 0))
-
-    def run(self, program: Program) -> str:
-        for stmt in program.stmts:
-            self.stmt(stmt)
-        return self.state.out_buffer
-
-    def stmt(self, node) -> None:
-        match node:
-            case Assign(name=name, expr=expr):
-                value = self.expr(expr)
-                if name == "O":
-                    self.state.out_buffer = stringify(value)
-                else:
-                    self.state.scope[name] = value
-            case EchoStmt(args=args):
-                for arg in args:
-                    self.state.out_buffer += stringify(self.expr(arg))
-            case If(cond=cond, then=then, other=other):
-                if truthy(self.expr(cond)):
-                    for s in then:
-                        self.stmt(s)
-                elif other is not None:
-                    for s in other:
-                        self.stmt(s)
-            case For(var=var, items=items, body=body):
-                seq = self.expr(items)
-                if not isinstance(seq, list):
-                    raise self.err(node, "for statement needs a list to iterate")
-                for item in seq:
-                    self.state.scope[var] = item
-                    for s in body:
-                        self.stmt(s)
-            case ExprStmt(expr=expr):
-                self.expr(expr)
-            case _:
-                raise AssertionError(f"unhandled statement {node!r}")
-
-    def expr(self, node) -> Value:
-        match node:
-            case Str(value=v):
-                return v
-            case IntLit(value=v):
-                return v
-            case Var(name=name):
-                if name == "O":
-                    return self.state.out_buffer
-                try:
-                    return self.state.scope[name]
-                except KeyError:
-                    raise self.err(node, f"undefined variable ${name}") from None
-            case Concat(parts=parts):
-                return "".join(stringify(self.expr(p)) for p in parts)
-            case Compare(op=op, left=left, right=right):
-                return _compare(op, self.expr(left), self.expr(right))
-            case Ternary(cond=cond, then=then, other=other):
-                return self.expr(then if truthy(self.expr(cond)) else other)
-            case Call(name=name, args=args):
-                return self.call(node, name, args)
-            case _:
-                raise AssertionError(f"unhandled expression {node!r}")
-
-    def call(self, node, name: str, args: tuple) -> Value:
-        entry = BUILTINS.get(name)
-        if entry is None:
-            raise self.err(node, f"unknown function '{name}'")
-        arity, fn = entry
-        if len(args) != arity:
-            raise self.err(
-                node, f"{name}() takes {arity} argument(s), got {len(args)}")
-        values = [self.expr(a) for a in args]
-        try:
-            return fn(self.state, *values)
-        except EvalError as exc:
-            if not exc.line:
-                raise self.err(node, exc.message) from None
-            raise
-
-
 def eval_program(program: Program, state: EngineState) -> str:
-    """Run a program against `state`; returns the final `$O`."""
-    return _Evaluator(state).run(program)
+    """Run a program against `state`; returns the final `$O`, which is also
+    left in `state.out_buffer`."""
+    run = _Run(state)
+    try:
+        for stmt in program.stmts:
+            stmt(run)
+    finally:
+        state.out_buffer = "".join(run.out)
+    return state.out_buffer
 
 
 # --- builtin functions --------------------------------------------------
@@ -587,6 +542,10 @@ _MONTHS = ("January", "February", "March", "April", "May", "June", "July",
 
 def _htmlquote(state: EngineState, value: Value) -> str:
     text = stringify(value)
+    # Quoting can grow the text sixfold, so nested calls need the cap too.
+    grown = 4 * text.count("&") + 3 * text.count("<") + 5 * text.count('"')
+    if len(text) + grown > MAX_STRING:
+        raise EvalError(f"string longer than {MAX_STRING} characters")
     return text.replace("&", "&amp;").replace("<", "&lt;").replace('"', "&quot;")
 
 
@@ -631,7 +590,7 @@ def _add_regex_hook(state: EngineState, pattern: Value, template: Value) -> str:
         raise EvalError("add_regex_hook() pattern must be non-empty")
     try:
         hook = Pattern(p, stringify(template))
-    except re.error as exc:
+    except (re.error, OverflowError, RecursionError) as exc:
         raise EvalError(f"invalid regex in add_regex_hook(): {exc}") from None
     state.hooks.append(hook)
     return ""
@@ -649,16 +608,25 @@ def _set_out_delimiters(state: EngineState, b1: Value, b2: Value,
 def _glob(state: EngineState, pattern: Value) -> list:
     pat = stringify(pattern)
     base = state.base_dir or os.path.dirname(os.path.abspath(state.file_path))
+    # A file's snippets all run before anything is written, so one sorted
+    # listing per directory serves the whole file.
+    names = state.listings.get(base)
+    if names is None:
+        names = state.listings[base] = sorted(os.listdir(base))
     regex = re.compile(
         "(?s)" + "".join(".*" if ch == "*" else "." if ch == "?" else re.escape(ch)
                          for ch in pat) + r"\Z")
-    return [name for name in sorted(os.listdir(base)) if regex.match(name)]
+    return [name for name in names if regex.match(name)]
 
 
 def _join(state: EngineState, sep: Value, items: Value) -> str:
     if not isinstance(items, list):
         raise EvalError("join() takes a separator and a list")
-    return stringify(sep).join(stringify(item) for item in items)
+    sep = stringify(sep)
+    texts = [stringify(item) for item in items]
+    if sum(map(len, texts)) + len(sep) * (len(texts) - 1) > MAX_STRING:
+        raise EvalError(f"string longer than {MAX_STRING} characters")
+    return sep.join(texts)
 
 
 def _strip_suffix(state: EngineState, value: Value, suffix: Value) -> str:

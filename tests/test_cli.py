@@ -1,4 +1,6 @@
 import os
+import re
+import time
 
 import pytest
 
@@ -136,3 +138,35 @@ def test_main_reports_deep_nesting_without_a_traceback(tmp_path, capsys):
     assert main([str(f)]) == 1
     assert capsys.readouterr().err == f"{f}:2:109: nesting deeper than 100 levels\n"
     assert f.read_text() == source
+
+
+def test_main_reports_bad_integer_literals(tmp_path, capsys):
+    f = tmp_path / "ints.txt"
+    for literal, message in (("\u00b2", "unexpected character '\u00b2'"),
+                             ("9" * 5000, "integer literal too long (5000 digits)")):
+        source = f"x\n<? echo {literal}; !>\n"
+        f.write_text(source)
+        assert main([str(f)]) == 1
+        assert capsys.readouterr().err == f"{f}:2:9: {message}\n"
+        assert f.read_text() == source
+
+
+def test_main_stops_runaway_loops_and_strings(tmp_path, capsys):
+    for k in range(20):
+        (tmp_path / f"d{k:02d}.dat").write_text("")
+    nested = ("<? " + "if (1) { for $x in glob('*') { " * 49 + "echo $x;"
+              + " } }" * 49 + " !>\n")
+    doubling = ("<? echo 'ab'; for $f in glob('*') {"
+                " for $g in glob('*') { $O = $O . $O; } } !>\n")
+    for name, source, message in (
+            ("nested.txt", nested, "more than 1000000 loop iterations"),
+            ("doubling.txt", doubling, "string longer than 67108864 characters")):
+        f = tmp_path / name
+        f.write_text(source)
+        start = time.monotonic()
+        assert main([str(f)]) == 1
+        assert time.monotonic() - start < 10
+        err = capsys.readouterr().err
+        assert re.fullmatch(re.escape(f"{f}:1:") + r"\d+: " + re.escape(message) + "\n",
+                            err)
+        assert f.read_text() == source

@@ -11,6 +11,7 @@ from textforge.config import (
     load_for_state,
 )
 from textforge.core import EvalError, ParseError
+from textforge.scriptlet import eval_program, parse_scriptlet
 
 
 def _conf(directory, source):
@@ -71,6 +72,14 @@ def test_exec_discards_conf_output(tmp_path):
     state.out_buffer = "kept"
     exec_conf_chain(find_conf_chain(str(tmp_path)), state)
     assert state.out_buffer == "kept"
+
+
+def test_read_conf_after_echo_keeps_the_snippets_output(tmp_path):
+    _conf(tmp_path, "echo 'noise'; $v = 'set';")
+    state = make_state(path=str(tmp_path / "f.txt"))
+    program = parse_scriptlet("echo 'a'; read_starfish_conf(); echo $v, $O;")
+    assert eval_program(program, state) == "asetaset"
+    assert state.out_buffer == "asetaset"
 
 
 def test_exec_resolves_paths_against_conf_directory(tmp_path):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import make_state
-from textforge import rewriter
+from textforge import rewriter, scriptlet
 from textforge.core import (
     EvalError,
     Mode,
@@ -333,6 +333,27 @@ def test_process_update_reads_the_input_once(tmp_path, monkeypatch):
     reads.clear()
     assert process_file(str(f), make_state(path=str(f))).changed is False
     assert len(reads) == 1
+
+
+def test_process_lists_each_glob_directory_once(tmp_path, monkeypatch):
+    sub = tmp_path / "sub"
+    sub.mkdir()
+    (tmp_path / "starfish.conf").write_text("$Top = glob('*.conf');")
+    (sub / "starfish.conf").write_text("$Here = glob('*.conf');")
+    f = sub / "doc.txt"
+    f.write_text("<? read_starfish_conf(); echo $Top, $Here; !>\n"
+                 + "<? echo glob('*.txt'); !>\n" * 48)
+    listed = []
+    real_listdir = os.listdir
+
+    def counting_listdir(path):
+        listed.append(path)
+        return real_listdir(path)
+
+    monkeypatch.setattr(scriptlet.os, "listdir", counting_listdir)
+    assert process_file(str(f), make_state(path=str(f))).changed is True
+    assert sorted(listed) == sorted([str(tmp_path), str(sub)])
+    assert f.read_text().count("#+\ndoc.txt#-\n") == 48
 
 
 # --- write_if_changed ------------------------------------------------------

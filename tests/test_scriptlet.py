@@ -2,9 +2,10 @@ import os
 from datetime import datetime
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from helpers import make_state
+from textforge import scriptlet
 from textforge.core import BeginEnd, EvalError, OutDelims, ParseError, Pattern
 from textforge.scriptlet import (
     MAX_NESTING,
@@ -80,6 +81,22 @@ def test_tokenize_rejects_stray_characters():
     with pytest.raises(ParseError) as exc:
         tokenize("echo 1 @ 2;")
     assert exc.value.col == 8
+
+
+def test_tokenize_integers_are_ascii_digits():
+    assert [t.value for t in tokenize("0123 4")[:2]] == ["0123", "4"]
+    for digit in ("\u00b2", "\u0663"):  # superscript two, Arabic-Indic three
+        with pytest.raises(ParseError) as exc:
+            tokenize(f"echo 1{digit};")
+        assert exc.value.message == f"unexpected character {digit!r}"
+        assert exc.value.col == 7
+
+
+def test_parse_integer_literal_beyond_int_digit_limit():
+    with pytest.raises(ParseError) as exc:
+        parse_scriptlet("echo 1;\n  echo " + "9" * 5000 + ";")
+    assert (exc.value.line, exc.value.col) == (2, 8)
+    assert exc.value.message == "integer literal too long (5000 digits)"
 
 
 def test_tokenize_comments_run_to_end_of_line():
@@ -173,6 +190,8 @@ def test_out_buffer_assignment_replaces():
 
 def test_out_buffer_readable():
     assert run("echo 'ab'; $O = $O . $O;") == "abab"
+    assert run("echo 'a'; $x = $O; echo 'b', $O, $x;") == "ababa"
+    assert run("echo 'a'; $O = $O . 'b'; echo 'c', $O;") == "abcabc"
 
 
 def test_out_buffer_assignment_stringifies():
@@ -237,6 +256,74 @@ def test_unknown_function():
     with pytest.raises(EvalError) as exc:
         run("echo frobnicate(1);")
     assert "unknown function 'frobnicate'" in exc.value.message
+
+
+def test_bad_calls_fail_only_when_they_run():
+    program = parse_scriptlet("if (0) { frobnicate(1); echo join(' '); }\n"
+                              "echo 1 ? 'ok' : nope(1, 2);")
+    assert eval_program(program, make_state()) == "ok"
+
+
+def test_loop_budget_is_per_eval_program_call(tmp_path, monkeypatch):
+    monkeypatch.setattr(scriptlet, "MAX_LOOP_ITERATIONS", 5)
+    for name in ("a", "b", "c"):
+        (tmp_path / name).write_text("")
+    state = make_state(path=str(tmp_path / "a"))
+    once = parse_scriptlet("for $x in glob('*') { echo $x; }")
+    assert eval_program(once, state) == "abc"
+    assert eval_program(once, state) == "abcabc"  # a fresh budget per call
+    with pytest.raises(EvalError) as exc:
+        run("for $x in glob('*') {\n  for $y in glob('*') { } }", state)
+    assert exc.value.message == "more than 5 loop iterations"
+    assert (exc.value.line, exc.value.col) == (2, 3)
+
+
+def test_string_budget(tmp_path, monkeypatch):
+    monkeypatch.setattr(scriptlet, "MAX_STRING", 4)
+    assert run("echo 'ab' . 'cd'; $O = 'x'; echo 'abc';") == "xabc"
+    for source, at in (("echo 'a',\n 'bc' . 'def';", (2, 7)),  # concatenation
+                       ("echo 'abc';\n  echo 'de';", (2, 3)),  # $O
+                       ("echo 'ab';\n$O = $O . $O . $O;", (2, 9))):
+        with pytest.raises(EvalError) as exc:
+            run(source)
+        assert (exc.value.line, exc.value.col) == at
+    for name in ("a", "b", "c"):
+        (tmp_path / name).write_text("")
+    state = make_state(path=str(tmp_path / "a"))
+    assert run("$j = join('', glob('*'));", state) == ""
+    with pytest.raises(EvalError) as exc:
+        run("$j = join(',', glob('*'));", state)
+    assert exc.value.message == "string longer than 4 characters"
+    assert (exc.value.line, exc.value.col) == (1, 6)
+    assert run("echo htmlquote('<');") == "&lt;"
+    with pytest.raises(EvalError) as exc:
+        run("echo htmlquote('a<');")
+    assert (exc.value.line, exc.value.col) == (1, 6)
+
+
+_FUZZ_LEXEMES = st.sampled_from([
+    "$v", "$O", "echo", "if", "else", "for", "in", "42", "\u00b2", "9" * 4400,
+    "'a'", '"b\\n"', '"""c"""', "==", "!=", "=", "<", ">", "?", ":", ".",
+    ",", ";", "(", ")", "{", "}", " ", "\n", "#",
+    "glob('*')", "join(", "htmlquote(", "strip_suffix(", "set_style(",
+    "add_hook(", "add_regex_hook(", "set_out_delimiters(", "read_starfish_conf()",
+    "file_modification_date()", "nope(",
+])
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(st.tuples(st.sampled_from(["", " ", "\n"]),
+                          st.one_of(_FUZZ_LEXEMES, st.text(max_size=4))),
+                max_size=40))
+def test_no_source_escapes_as_a_traceback(tmp_path, pieces):
+    doc = tmp_path / "doc.txt"
+    doc.write_text("")
+    state = make_state(path=str(doc))
+    try:
+        eval_program(parse_scriptlet("".join(g + p for g, p in pieces)), state)
+    except (ParseError, EvalError):
+        pass
 
 
 def test_wrong_arity():
@@ -361,6 +448,9 @@ def test_add_regex_hook_rejects_bad_or_empty_pattern():
         run("add_regex_hook('(', 'x');")
     with pytest.raises(EvalError):
         run("add_regex_hook('', 'x');")
+    for pattern in ("a{4294967296}", "(" * 2000 + ")" * 2000):
+        with pytest.raises(EvalError):
+            run(f"add_regex_hook('{pattern}', 'x');")
 
 
 def test_set_out_delimiters():
