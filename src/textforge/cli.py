@@ -15,7 +15,6 @@ FILE:LINE:COL: message.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
 
 from .core import EngineError, Mode, UsageError, new_engine_state
 from .rewriter import process_file
@@ -24,13 +23,15 @@ from .styles import STYLES, detect_style
 USAGE = "usage: textforge [-replace] [-o=PATH] [-e=CODE] [-style=NAME] FILE..."
 
 
-@dataclass
 class CliOptions:
-    mode: Mode = Mode.UPDATE
-    out_path: str | None = None
-    init_code: str | None = None
-    style_override: str | None = None
-    files: list[str] = field(default_factory=list)
+    __slots__ = ("mode", "out_path", "init_code", "style_override", "files")
+
+    def __init__(self):
+        self.mode = Mode.UPDATE
+        self.out_path: str | None = None
+        self.init_code: str | None = None
+        self.style_override: str | None = None
+        self.files: list[str] = []
 
 
 def parse_args(argv: list[str]) -> CliOptions:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import os
 import re
-from dataclasses import dataclass, field
+from collections import namedtuple
 from enum import Enum
 
 
@@ -55,45 +55,55 @@ class UsageError(EngineError):
     """Bad command line or unusable option combination."""
 
 
-@dataclass(frozen=True, slots=True)
-class BeginEnd:
+class Record(tuple):
+    """Base of the value types built on `namedtuple`: a record equals only a
+    record of its own type with equal fields, as a plain tuple would not
+    (a BeginEnd and a Pattern must never share a scanner cache entry)."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return type(other) is type(self) and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    __hash__ = tuple.__hash__
+
+
+class BeginEnd(Record, namedtuple("BeginEnd", "begin end")):
     """Snippet hook: code sits between `begin` and the first following `end`."""
 
-    begin: str
-    end: str
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.begin or not self.end:
+    def __new__(cls, begin: str, end: str):
+        if not begin or not end:
             raise ValueError("hook delimiters must be non-empty")
+        return tuple.__new__(cls, (begin, end))
 
 
-@dataclass(frozen=True, slots=True)
-class Pattern:
+class Pattern(Record, namedtuple("Pattern", "regex template")):
     """Regex hook; in replace mode the match becomes `template` with $1..$9
     substituted from capture groups."""
 
-    regex: str
-    template: str
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.regex:
+    def __new__(cls, regex: str, template: str):
+        if not regex:
             raise ValueError("pattern hook regex must be non-empty")
-        re.compile(self.regex)  # validate eagerly; re caches the compile
+        re.compile(regex)  # validate eagerly; re caches the compile
+        return tuple.__new__(cls, (regex, template))
 
 
 Hook = BeginEnd | Pattern
 
 
-@dataclass(frozen=True, slots=True)
-class OutDelims:
+class OutDelims(Record, namedtuple("OutDelims", "b1 b2 e1 e2")):
     """Output-block delimiters. The full begin marker is b1+infix+b2 and the
     full end marker is e1+infix+e2, where infix is "" or a run of decimal
     digits chosen to avoid collisions with the output text."""
 
-    b1: str
-    b2: str
-    e1: str
-    e2: str
+    __slots__ = ()
 
     def begin(self, infix: str = "") -> str:
         return self.b1 + infix + self.b2
@@ -102,25 +112,17 @@ class OutDelims:
         return self.e1 + infix + self.e2
 
 
-@dataclass(frozen=True, slots=True)
-class Style:
-    """A named bundle of hooks and conventions for one host language."""
-
-    name: str
-    hooks: tuple[Hook, ...]
-    line_comment: str | None
-    out_delims: OutDelims
-    indent_adjust: bool = False
-    # Entries starting with "." match file-name suffixes; anything else must
-    # equal the basename exactly (e.g. "Makefile").
-    extensions: tuple[str, ...] = ()
+# A named bundle of hooks and conventions for one host language. Entries of
+# `extensions` starting with "." match file-name suffixes; anything else must
+# equal the basename exactly (e.g. "Makefile").
+Style = namedtuple("Style", "name hooks line_comment out_delims "
+                   "indent_adjust extensions", defaults=(False, ()))
 
 
 # Scriptlet values are plain Python: str, int, bool, or list of values.
 Value = str | int | bool | list
 
 
-@dataclass(slots=True)
 class EngineState:
     """Mutable per-file state threaded through scanning and evaluation.
 
@@ -130,18 +132,25 @@ class EngineState:
     `listings` maps each directory `glob()` has read to its sorted entries.
     """
 
-    mode: Mode
-    file_path: str
-    hooks: list[Hook]
-    out_delims: OutDelims
-    line_comment: str | None
-    indent_adjust: bool
-    scope: dict[str, Value] = field(default_factory=dict)
-    out_buffer: str = ""
-    conf_loaded: bool = False
-    base_dir: str = ""
-    file_mtime: float | None = None
-    listings: dict[str, list[str]] = field(default_factory=dict)
+    __slots__ = ("mode", "file_path", "hooks", "out_delims", "line_comment",
+                 "indent_adjust", "scope", "out_buffer", "conf_loaded",
+                 "base_dir", "file_mtime", "listings")
+
+    def __init__(self, mode: Mode, file_path: str, hooks: list[Hook],
+                 out_delims: OutDelims, line_comment: str | None,
+                 indent_adjust: bool, base_dir: str = ""):
+        self.mode = mode
+        self.file_path = file_path
+        self.hooks = hooks
+        self.out_delims = out_delims
+        self.line_comment = line_comment
+        self.indent_adjust = indent_adjust
+        self.scope: dict[str, Value] = {}
+        self.out_buffer = ""
+        self.conf_loaded = False
+        self.base_dir = base_dir
+        self.file_mtime: float | None = None
+        self.listings: dict[str, list[str]] = {}
 
 
 def new_engine_state(path: str, mode: Mode, style: Style) -> EngineState:

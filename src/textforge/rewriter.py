@@ -12,7 +12,7 @@ import os
 import re
 import stat
 import tempfile
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .core import (
     EngineState,
@@ -27,13 +27,9 @@ from .scanner import Outer, Snippet, iter_segments
 from .scriptlet import eval_program, parse_scriptlet
 
 
-@dataclass(frozen=True, slots=True)
-class RenderedFile:
-    """Result of processing one file: new text and whether its bytes differ
-    from the input's."""
-
-    text: str
-    changed: bool
+# Result of processing one file: new text and whether its bytes differ from
+# the input's.
+RenderedFile = namedtuple("RenderedFile", "text changed")
 
 
 def strip_line_comments(code: str, line_comment: str | None) -> tuple[str, list[int]]:
@@ -216,7 +212,9 @@ def write_if_changed(path: str, text: str, current: bytes | None = None,
     them as `current` and `current_stat`; otherwise the target is read here
     (a missing target always differs). Updates go through a temp file in the
     same directory followed by a rename; an existing file keeps its
-    permission bits.
+    permission bits. A symlink is written through: the file it resolves to
+    is replaced and the link stays. A failed write raises an OSError that
+    names `path`.
     """
     data = text.encode("utf-8", "surrogateescape")
     if current is None:
@@ -230,9 +228,11 @@ def write_if_changed(path: str, text: str, current: bytes | None = None,
         return False
     mode = None if current_stat is None else stat.S_IMODE(current_stat.st_mode)
 
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(prefix=".textforge-", dir=directory)
+    target = os.path.realpath(path)
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(prefix=".textforge-",
+                                   dir=os.path.dirname(target))
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
         if mode is None:
@@ -240,11 +240,14 @@ def write_if_changed(path: str, text: str, current: bytes | None = None,
             os.umask(mask)
             mode = 0o666 & ~mask
         os.chmod(tmp, mode)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
+        os.replace(tmp, target)
+    except BaseException as exc:
+        if tmp is not None:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+        if isinstance(exc, OSError):  # it would name the temp file
+            raise type(exc)(exc.errno, exc.strerror, path) from None
         raise
     return True

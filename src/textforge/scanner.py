@@ -10,80 +10,59 @@ reproduces the input byte for byte.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterator, Optional
+from collections import namedtuple
+from collections.abc import Iterator
 
 from .core import (
     BeginEnd,
     EngineState,
     Hook,
     OutDelims,
-    Pattern,
+    Record,
     UnterminatedOutputError,
     UnterminatedSnippetError,
     line_col,
 )
 
 
-@dataclass(frozen=True, slots=True)
-class ExistingOutput:
-    """A previously generated output block found directly after a snippet.
+class ExistingOutput(Record, namedtuple("ExistingOutput", "raw")):
+    """A previously generated output block found directly after a snippet;
+    raw runs from its begin marker through its end marker."""
 
-    raw == begin marker + inner + end marker; infix is the digit run shared
-    by both markers ("" when none).
-    """
-
-    raw: str
-    inner: str
-    infix: str
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Outer:
+class Outer(Record, namedtuple("Outer", "text")):
     """Text the engine passes through untouched."""
 
-    text: str
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Snippet:
+class Snippet(Record, namedtuple("Snippet", "raw code hook_index indent "
+                                 "line_prefix existing_output out_delims "
+                                 "indent_adjust offset")):
     """One begin/end-delimited scriptlet occurrence.
 
     raw spans begin through end delimiter inclusive; code is the text between
     them. indent is the leading whitespace of the source line holding the
     begin delimiter and line_prefix everything on that line before the
-    delimiter (see `iter_segments`).
+    delimiter (see `iter_segments`). existing_output is the ExistingOutput
+    that follows the snippet, or None.
     out_delims/indent_adjust record the values in effect when the snippet was
     scanned, so later retargeting cannot re-wrap earlier output.
     """
 
-    raw: str
-    code: str
-    hook_index: int
-    indent: str
-    line_prefix: str
-    existing_output: Optional[ExistingOutput]
-    out_delims: OutDelims
-    indent_adjust: bool
-    offset: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class PatternMatch:
-    hook_index: int
-    matched: str
-    captures: tuple[str, ...]
+class PatternMatch(Record,
+                   namedtuple("PatternMatch", "hook_index matched captures")):
+    """Text matched by a regex hook, with its capture groups."""
+
+    __slots__ = ()
 
 
 Segment = Outer | Snippet | PatternMatch
-
-
-@dataclass(frozen=True, slots=True)
-class HookMatch:
-    hook_index: int
-    start: int
-    end: int  # exclusive
-    captures: tuple[str, ...] = ()
 
 
 def _search(text: str, hook: Hook, from_: int):
@@ -114,8 +93,9 @@ def _search(text: str, hook: Hook, from_: int):
 
 def find_next_match(text: str, from_: int, hooks: list[Hook],
                     *, file: str | None = None,
-                    cache: dict | None = None) -> Optional[HookMatch]:
-    """Earliest hook match at or after `from_`.
+                    cache: dict | None = None) -> tuple | None:
+    """Earliest hook match at or after `from_`, as
+    (hook_index, start, end, captures) with `end` exclusive, or None.
 
     Ties are broken by smallest start, then smallest match length, then
     smallest hook index. A begin delimiter with no end delimiter anywhere
@@ -124,8 +104,7 @@ def find_next_match(text: str, from_: int, hooks: list[Hook],
     with non-decreasing `from_`; a hook is searched again once it is passed.
     """
     cache = {} if cache is None else cache
-    best: Optional[HookMatch] = None
-    best_key: tuple[int, int, int] | None = None
+    best = None
     dangling: int | None = None  # earliest unterminated begin
 
     for i, hook in enumerate(hooks):
@@ -139,11 +118,12 @@ def find_next_match(text: str, from_: int, hooks: list[Hook],
             if dangling is None or start < dangling:
                 dangling = start
             continue
-        key = (start, end - start, i)
-        if best_key is None or key < best_key:
-            best, best_key = HookMatch(i, start, end, captures), key
+        # With the same start, the shorter match ends first; on a full tie
+        # the earlier hook stays.
+        if best is None or start < best[1] or (start == best[1] and end < best[2]):
+            best = (i, start, end, captures)
 
-    if dangling is not None and (best is None or dangling < best.start):
+    if dangling is not None and (best is None or dangling < best[1]):
         ln, col = line_col(text, dangling)
         raise UnterminatedSnippetError(
             "snippet begin delimiter is never terminated",
@@ -152,7 +132,7 @@ def find_next_match(text: str, from_: int, hooks: list[Hook],
 
 
 def detect_output_block(text: str, at: int, delims: OutDelims,
-                        *, file: str | None = None) -> Optional[ExistingOutput]:
+                        *, file: str | None = None) -> ExistingOutput | None:
     """Existing output block starting exactly at `at`, or None.
 
     The infix is a maximal run of decimal digits between b1 and b2; the end
@@ -168,16 +148,15 @@ def detect_output_block(text: str, at: int, delims: OutDelims,
     infix = text[i:j]
     if not text.startswith(delims.b2, j):
         return None
-    inner_start = j + len(delims.b2)
     end_marker = delims.end(infix)
-    k = text.find(end_marker, inner_start)
+    k = text.find(end_marker, j + len(delims.b2))
     if k < 0:
         ln, col = line_col(text, at)
         raise UnterminatedOutputError(
             "output block begin marker has no matching end marker",
             file=file, line=ln, col=col)
     end = k + len(end_marker)
-    return ExistingOutput(raw=text[at:end], inner=text[inner_start:k], infix=infix)
+    return ExistingOutput(text[at:end])
 
 
 def _line_prefix(text: str, start: int, skipped: list[tuple[int, int]],
@@ -223,43 +202,36 @@ def iter_segments(text: str, state: EngineState) -> Iterator[Segment]:
             if pos < n:
                 yield Outer(text[pos:])
             return
-        if match.start > pos:
-            yield Outer(text[pos:match.start])
-        newline = text.rfind("\n", pos, match.start)
+        index, start, end, captures = match
+        if start > pos:
+            yield Outer(text[pos:start])
+        newline = text.rfind("\n", pos, start)
         if newline >= 0:
             line_start, skipped = newline + 1, []
         existing = None
-        hook = state.hooks[match.hook_index]
+        hook = state.hooks[index]
         if isinstance(hook, BeginEnd):
-            raw = text[match.start:match.end]
-            code = text[match.start + len(hook.begin):match.end - len(hook.end)]
-            indent, prefix = _line_prefix(text, line_start, skipped, match.start)
+            indent, prefix = _line_prefix(text, line_start, skipped, start)
             delims = state.out_delims
-            existing = detect_output_block(text, match.end, delims,
+            existing = detect_output_block(text, end, delims,
                                            file=state.file_path)
             yield Snippet(
-                raw=raw,
-                code=code,
-                hook_index=match.hook_index,
+                raw=text[start:end],
+                code=text[start + len(hook.begin):end - len(hook.end)],
+                hook_index=index,
                 indent=indent,
                 line_prefix=prefix,
                 existing_output=existing,
                 out_delims=delims,
                 indent_adjust=state.indent_adjust,
-                offset=match.start,
+                offset=start,
             )
         else:
-            yield PatternMatch(match.hook_index, text[match.start:match.end],
-                               match.captures)
-        newline = text.rfind("\n", match.start, match.end)
+            yield PatternMatch(index, text[start:end], captures)
+        newline = text.rfind("\n", start, end)
         if newline >= 0:
             line_start, skipped = newline + 1, []
-        pos = match.end
+        pos = end
         if existing is not None:
             skipped.append((pos, pos + len(existing.raw)))
             pos += len(existing.raw)
-
-
-def scan(text: str, state: EngineState) -> list[Segment]:
-    """Segment `text` with the state's current hooks (no evaluation)."""
-    return list(iter_segments(text, state))

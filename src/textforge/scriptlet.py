@@ -28,10 +28,10 @@ branch that never runs is harmless.
 """
 from __future__ import annotations
 
+import fnmatch
 import os
 import re
-from dataclasses import dataclass
-from datetime import datetime
+import time
 
 from .core import (
     BeginEnd,
@@ -51,12 +51,14 @@ _ONE_CHAR_OPS = "=<>?:.,;(){}"
 _DQ_ESCAPES = {"n": "\n", "t": "\t", "\\": "\\", '"': '"', "$": "$"}
 
 
-@dataclass(slots=True)
 class Token:
-    kind: str  # ident | var | int | str | op | eof
-    value: str
-    line: int
-    col: int
+    __slots__ = ("kind", "value", "line", "col")
+
+    def __init__(self, kind: str, value: str, line: int, col: int):
+        self.kind = kind  # ident | var | int | str | op | eof
+        self.value = value
+        self.line = line
+        self.col = col
 
 
 def tokenize(source: str) -> list[Token]:
@@ -176,11 +178,6 @@ MAX_LOOP_ITERATIONS = 1_000_000
 MAX_STRING = 2**26
 
 
-@dataclass(frozen=True, slots=True)
-class Program:
-    stmts: tuple  # compiled statements, each a callable taking a _Run
-
-
 class _Run:
     """What one eval_program call works on. `$O` is kept as a list of pieces
     that is joined only when it is read, assigned or the run ends, so a run
@@ -241,11 +238,11 @@ class _Parser:
 
     # statements
 
-    def program(self) -> Program:
+    def program(self) -> tuple:
         stmts = []
         while self.t.kind != "eof":
             stmts.append(self.statement())
-        return Program(tuple(stmts))
+        return tuple(stmts)
 
     def statement(self):
         t = self.t
@@ -494,8 +491,9 @@ def _call(t: Token, args: tuple):
     return bad_call
 
 
-def parse_scriptlet(source: str) -> Program:
-    """Parse a whole scriptlet program into runnable closures."""
+def parse_scriptlet(source: str) -> tuple:
+    """Parse a whole scriptlet program into a tuple of its statements, each
+    compiled to a closure that takes a `_Run`."""
     return _Parser(tokenize(source)).program()
 
 
@@ -522,12 +520,12 @@ def truthy(value: Value) -> bool:
     return len(value) > 0
 
 
-def eval_program(program: Program, state: EngineState) -> str:
-    """Run a program against `state`; returns the final `$O`, which is also
-    left in `state.out_buffer`."""
+def eval_program(program: tuple, state: EngineState) -> str:
+    """Run a program from `parse_scriptlet` against `state`; returns the
+    final `$O`, which is also left in `state.out_buffer`."""
     run = _Run(state)
     try:
-        for stmt in program.stmts:
+        for stmt in program:
             stmt(run)
     finally:
         state.out_buffer = "".join(run.out)
@@ -553,8 +551,8 @@ def _file_modification_date(state: EngineState) -> str:
     ts = state.file_mtime
     if ts is None:
         ts = os.stat(state.file_path).st_mtime
-    when = datetime.fromtimestamp(ts)
-    return f"{_MONTHS[when.month - 1]} {when.day}, {when.year}"
+    when = time.localtime(ts)
+    return f"{_MONTHS[when.tm_mon - 1]} {when.tm_mday}, {when.tm_year}"
 
 
 def _read_starfish_conf(state: EngineState) -> str:
@@ -613,10 +611,10 @@ def _glob(state: EngineState, pattern: Value) -> list:
     names = state.listings.get(base)
     if names is None:
         names = state.listings[base] = sorted(os.listdir(base))
-    regex = re.compile(
-        "(?s)" + "".join(".*" if ch == "*" else "." if ch == "?" else re.escape(ch)
-                         for ch in pat) + r"\Z")
-    return [name for name in names if regex.match(name)]
+    # Only * and ? are special, so "[" is bracketed to stay literal. The
+    # translation keeps the text between stars atomic: no backtracking blowup.
+    match = re.compile(fnmatch.translate(pat.replace("[", "[[]"))).match
+    return [name for name in names if match(name)]
 
 
 def _join(state: EngineState, sep: Value, items: Value) -> str:

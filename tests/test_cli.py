@@ -1,5 +1,7 @@
 import os
 import re
+import subprocess
+import sys
 import time
 
 import pytest
@@ -124,6 +126,33 @@ def test_main_reports_missing_file(tmp_path, capsys):
     assert not missing.exists()
 
 
+def test_main_names_an_unwritable_output_path(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "t.txt").write_text("<? echo 'x'; !>\n")
+    assert main(["-replace", "-o=nodir/out.txt", "t.txt"]) == 1
+    assert capsys.readouterr().err == \
+        "t.txt:0:0: [Errno 2] No such file or directory: 'nodir/out.txt'\n"
+    assert sorted(os.listdir(tmp_path)) == ["t.txt"]
+
+
+def test_main_updates_through_a_symlink(tmp_path):
+    target = tmp_path / "t.txt"
+    target.write_text("<? echo 'x'; !>\n")
+    (tmp_path / "links").mkdir()
+    link = tmp_path / "links" / "link.txt"
+    link.symlink_to(os.path.join(os.pardir, "t.txt"))
+    assert main([str(link)]) == 0
+    assert link.is_symlink()
+    assert os.readlink(link) == os.path.join(os.pardir, "t.txt")
+    assert target.read_text() == "<? echo 'x'; !>#+\nx#-\n\n"
+    assert os.listdir(tmp_path / "links") == ["link.txt"]
+    before = os.stat(target)
+    assert main([str(link)]) == 0
+    after = os.stat(target)
+    assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+    assert link.is_symlink()
+
+
 def test_main_reports_scriptlet_error_position(tmp_path, capsys):
     f = tmp_path / "f.java"
     f.write_text("line1\n  //<? $x = $nope; !>\n")
@@ -170,3 +199,16 @@ def test_main_stops_runaway_loops_and_strings(tmp_path, capsys):
         assert re.fullmatch(re.escape(f"{f}:1:") + r"\d+: " + re.escape(message) + "\n",
                             err)
         assert f.read_text() == source
+
+
+# --- start-up cost ------------------------------------------------------------
+
+def test_importing_the_cli_loads_no_heavy_stdlib_modules():
+    # Each of these costs milliseconds on every call of the command.
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import textforge.cli; "
+            "print(*sys.modules)")
+    loaded = subprocess.run([sys.executable, "-S", "-c", code, src],
+                            capture_output=True, text=True, check=True).stdout.split()
+    assert "textforge.cli" in loaded
+    assert {"dataclasses", "inspect", "datetime", "typing"} & set(loaded) == set()

@@ -17,14 +17,12 @@ from textforge.core import (
     UnterminatedSnippetError,
 )
 from textforge.scanner import (
-    HookMatch,
     Outer,
     PatternMatch,
     Snippet,
     detect_output_block,
     find_next_match,
     iter_segments,
-    scan,
 )
 from textforge.scriptlet import eval_program, parse_scriptlet
 
@@ -36,7 +34,7 @@ JAVA_DELIMS = OutDelims("//", "+\n", "//", "-\n")
 # --- find_next_match -----------------------------------------------------
 
 def test_find_basic_snippet():
-    assert find_next_match("a<? x !>b", 0, DEFAULT_HOOKS) == HookMatch(1, 1, 8)
+    assert find_next_match("a<? x !>b", 0, DEFAULT_HOOKS) == (1, 1, 8, ())
 
 
 def test_find_nothing():
@@ -45,40 +43,38 @@ def test_find_nothing():
 
 def test_find_prefers_comment_hook_at_smaller_start():
     # "//<?" starts at 0, the bare "<?" only at 2: position wins.
-    assert find_next_match("//<? x !>", 0, JAVA_HOOKS) == HookMatch(0, 0, 9)
+    assert find_next_match("//<? x !>", 0, JAVA_HOOKS) == (0, 0, 9, ())
 
 
 def test_find_leftmost_across_calls():
     text = "<? a !> tail <? b !>"
-    first = find_next_match(text, 0, DEFAULT_HOOKS)
-    assert text[first.start:first.end] == "<? a !>"
-    second = find_next_match(text, first.end, DEFAULT_HOOKS)
-    assert text[second.start:second.end] == "<? b !>"
+    _, start, end, _ = find_next_match(text, 0, DEFAULT_HOOKS)
+    assert text[start:end] == "<? a !>"
+    _, start, end, _ = find_next_match(text, end, DEFAULT_HOOKS)
+    assert text[start:end] == "<? b !>"
 
 
 def test_find_tie_on_start_prefers_shorter_match():
     hooks = [BeginEnd("<?", "!>>"), BeginEnd("<?", "!>")]
-    m = find_next_match("<?x!>>", 0, hooks)
-    assert (m.hook_index, m.start, m.end) == (1, 0, 5)
+    assert find_next_match("<?x!>>", 0, hooks)[:3] == (1, 0, 5)
 
 
 def test_find_full_tie_prefers_lower_hook_index():
     hooks = [BeginEnd("<?", "!>"), BeginEnd("<?", "!>")]
-    assert find_next_match("<?x!>", 0, hooks).hook_index == 0
+    assert find_next_match("<?x!>", 0, hooks)[0] == 0
 
 
 def test_find_pattern_hook_captures():
     hooks = [Pattern(r"a(b+)(c)?", "$1")]
-    m = find_next_match("xxabbb", 0, hooks)
-    assert (m.start, m.end) == (2, 6)
-    assert m.captures == ("bbb", "")
+    _, start, end, captures = find_next_match("xxabbb", 0, hooks)
+    assert (start, end) == (2, 6)
+    assert captures == ("bbb", "")
 
 
 def test_find_skips_zero_width_pattern_matches():
     hooks = [Pattern("x*", "$1")]
     assert find_next_match("yyy", 0, hooks) is None
-    m = find_next_match("yyxy", 0, hooks)
-    assert (m.start, m.end) == (2, 3)
+    assert find_next_match("yyxy", 0, hooks)[1:3] == (2, 3)
 
 
 def test_find_dangling_begin_is_an_error():
@@ -91,18 +87,17 @@ def test_find_dangling_begin_is_an_error():
 
 def test_find_dangling_after_complete_match_is_fine():
     text = "<? a !> <? b"
-    m = find_next_match(text, 0, DEFAULT_HOOKS)
-    assert text[m.start:m.end] == "<? a !>"
+    _, start, end, _ = find_next_match(text, 0, DEFAULT_HOOKS)
+    assert text[start:end] == "<? a !>"
     with pytest.raises(UnterminatedSnippetError):
-        find_next_match(text, m.end, DEFAULT_HOOKS)
+        find_next_match(text, end, DEFAULT_HOOKS)
 
 
 def test_find_dangling_before_complete_match_still_errors():
     hooks = [BeginEnd("[", "]"), BeginEnd("{", "}")]
     with pytest.raises(UnterminatedSnippetError):
         find_next_match("{ [x]", 0, hooks)
-    m = find_next_match("[x] {", 0, hooks)
-    assert (m.start, m.end) == (0, 3)
+    assert find_next_match("[x] {", 0, hooks)[1:3] == (0, 3)
 
 
 def _oracle_find(text, from_, hooks):
@@ -145,7 +140,7 @@ def test_find_matches_brute_force_oracle(text, from_):
         got = "error"
     else:
         if got is not None:
-            got = (got.hook_index, got.start, got.end)
+            got = got[:3]
     assert got == _oracle_find(text, from_, hooks)
 
 
@@ -153,21 +148,17 @@ def test_find_matches_brute_force_oracle(text, from_):
 
 def test_detect_plain_block():
     out = detect_output_block("//+\nX\n//-\nrest", 0, JAVA_DELIMS)
-    assert out.inner == "X\n"
-    assert out.infix == ""
     assert out.raw == "//+\nX\n//-\n"
 
 
 def test_detect_numbered_block_is_maximal_munch():
-    out = detect_output_block("//3+\nY//-\n more\n//3-\n", 0, JAVA_DELIMS)
-    assert out.infix == "3"
-    assert out.inner == "Y//-\n more\n"
+    out = detect_output_block("//3+\nY//-\n more\n//3-\ntail", 0, JAVA_DELIMS)
+    assert out.raw == "//3+\nY//-\n more\n//3-\n"
 
 
 def test_detect_multidigit_infix():
-    out = detect_output_block("#12+\nz#12-\n", 0, OutDelims("#", "+\n", "#", "-\n"))
-    assert out.infix == "12"
-    assert out.inner == "z"
+    out = detect_output_block("#12+\nz#12-\nrest", 0, OutDelims("#", "+\n", "#", "-\n"))
+    assert out.raw == "#12+\nz#12-\n"
 
 
 def test_detect_greedy_digits_do_not_backtrack():
@@ -194,16 +185,16 @@ def test_detect_infix_mismatch_is_unterminated():
         detect_output_block("//1+\nX//-\n", 0, JAVA_DELIMS)
 
 
-# --- scan / iter_segments ------------------------------------------------
+# --- iter_segments -------------------------------------------------------
 
 def test_scan_plain_text_is_one_outer():
     state = make_state()
-    assert scan("plain text", state) == [Outer("plain text")]
+    assert list(iter_segments("plain text", state)) == [Outer("plain text")]
 
 
 def test_scan_basic_segments():
     state = make_state(style="java")
-    segs = scan("a//<? echo 1; !>b", state)
+    segs = list(iter_segments("a//<? echo 1; !>b", state))
     assert segs[0] == Outer("a")
     assert isinstance(segs[1], Snippet)
     assert segs[1].raw == "//<? echo 1; !>"
@@ -214,39 +205,38 @@ def test_scan_basic_segments():
 
 def test_scan_consumes_adjacent_output_block():
     state = make_state(style="java")
-    segs = scan("x//<? c !>//+\nOLD//-\ny", state)
+    segs = list(iter_segments("x//<? c !>//+\nOLD//-\ny", state))
     snip = segs[1]
     assert snip.existing_output is not None
-    assert snip.existing_output.inner == "OLD"
+    assert snip.existing_output.raw == "//+\nOLD//-\n"
     assert segs[2] == Outer("y")
 
 
 def test_scan_updated_java_fixture_recovers_output():
     state = make_state(path="simple.java", style="java")
-    snippets = [s for s in scan(goldens.JAVA_UPDATED_TEST, state)
+    snippets = [s for s in iter_segments(goldens.JAVA_UPDATED_TEST, state)
                 if isinstance(s, Snippet)]
     assert len(snippets) == 3
     existing = snippets[2].existing_output
     assert existing is not None
-    # the end marker abuts the semicolon, so no trailing newline here
-    assert existing.inner == '    System.out.println("Test version");'
-    assert existing.infix == ""
+    # the end marker abuts the semicolon, so no newline before it
+    assert existing.raw == '//+\n    System.out.println("Test version");//-\n'
 
 
 def test_scan_block_must_touch_end_delimiter():
     state = make_state(style="java")
-    segs = scan("x//<? c !> //+\nOLD//-\n", state)
+    segs = list(iter_segments("x//<? c !> //+\nOLD//-\n", state))
     assert segs[1].existing_output is None
     assert segs[2] == Outer(" //+\nOLD//-\n")
 
 
 def test_scan_records_indent_and_line_prefix():
     state = make_state()
-    snip = scan("  x <? c !>", state)[1]
+    snip = list(iter_segments("  x <? c !>", state))[1]
     assert snip.indent == "  "
     assert snip.line_prefix == "  x "
     state = make_state()
-    snip = scan("    <? c !>", state)[1]
+    snip = list(iter_segments("    <? c !>", state))[1]
     assert snip.indent == "    "
     assert snip.line_prefix == "    "
 
@@ -254,8 +244,8 @@ def test_scan_records_indent_and_line_prefix():
 def test_scan_line_prefix_leaves_out_consumed_output_blocks():
     # The block's newline must not start a new line: update inserted it,
     # and the pristine "<? a !> <? b !>" gives b no indent.
-    segs = scan("<? a !>#+\nA#-\n <? b !>#+\nB\n#-\n\n  <? c !>",
-                make_state(style="python"))
+    segs = list(iter_segments("<? a !>#+\nA#-\n <? b !>#+\nB\n#-\n\n  <? c !>",
+                              make_state(style="python")))
     b, c = [s for s in segs if isinstance(s, Snippet)][1:]
     assert (b.indent, b.line_prefix) == ("", "<? a !> ")
     assert (c.indent, c.line_prefix) == ("  ", "  ")
@@ -288,28 +278,29 @@ def test_scan_picks_up_hooks_added_mid_file():
 def test_scan_pattern_segment():
     state = make_state()
     state.hooks.append(Pattern(r"v(\d+)", "$1"))
-    segs = scan("see v42 here", state)
+    segs = list(iter_segments("see v42 here", state))
     assert segs[1] == PatternMatch(2, "v42", ("42",))
 
 
 def test_scan_propagates_unterminated_output_position():
     state = make_state(path="f.txt")
     with pytest.raises(UnterminatedOutputError) as exc:
-        scan("<? x !>#+\nno end", state)
+        list(iter_segments("<? x !>#+\nno end", state))
     assert exc.value.file == "f.txt"
     assert (exc.value.line, exc.value.col) == (1, 8)
 
 
 def test_scan_is_deterministic():
     text = "a<? x !>b<? y !>#+\nQ#-\nc"
-    assert scan(text, make_state()) == scan(text, make_state())
+    first = list(iter_segments(text, make_state()))
+    assert first == list(iter_segments(text, make_state()))
 
 
 @given(st.text(alphabet="a<?!>/\n", max_size=60))
 def test_scan_concat_reproduces_input(text):
     state = make_state(style="java")
     try:
-        segs = scan(text, state)
+        segs = list(iter_segments(text, state))
     except UnterminatedSnippetError:
         return  # dangling begin: scan aborts rather than guessing
     assert concat_segments(segs) == text

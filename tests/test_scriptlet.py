@@ -1,4 +1,5 @@
 import os
+import time
 from datetime import datetime
 
 import pytest
@@ -377,7 +378,7 @@ def test_file_modification_date_prefers_recorded_mtime(tmp_path):
 
 
 def test_glob_sorts_and_escapes(tmp_path):
-    for name in ("B.java", "A.java", "a.txt", "x+y.java", "ab.txt"):
+    for name in ("B.java", "A.java", "a.txt", "x+y.java", "ab.txt", "[ab]", "b"):
         (tmp_path / name).write_text("")
     state = make_state(path=str(tmp_path / "f.txt"))
     assert run("for $f in glob('*.java') { echo $f, ';'; }", state) == \
@@ -386,6 +387,39 @@ def test_glob_sorts_and_escapes(tmp_path):
         path=str(tmp_path / "f.txt"))) == "A.java,B.java"
     assert run("echo join(',', glob('zzz*'));", make_state(
         path=str(tmp_path / "f.txt"))) == ""
+    assert run("echo glob('[ab]'), ';', glob('[*');", make_state(
+        path=str(tmp_path / "f.txt"))) == "[ab];[ab]"
+
+
+def test_glob_many_stars_stay_fast(tmp_path):
+    (tmp_path / ("a" * 40)).write_text("")
+    state = make_state(path=str(tmp_path / "f.txt"))
+    start = time.monotonic()
+    assert run("echo join(',', glob('" + "*a" * 20 + "*b'));", state) == ""
+    assert time.monotonic() - start < 0.5
+
+
+def _glob_oracle(pattern, name):
+    """Brute-force glob: "*" is any run, "?" any one character, the rest
+    literal."""
+    if not pattern:
+        return not name
+    if pattern[0] == "*":
+        return any(_glob_oracle(pattern[1:], name[i:]) for i in range(len(name) + 1))
+    return (bool(name) and pattern[0] in ("?", name[0])
+            and _glob_oracle(pattern[1:], name[1:]))
+
+
+@given(st.text(alphabet="*?[].ab", max_size=8),
+       st.sets(st.text(alphabet="[].ab", min_size=1, max_size=6), max_size=8))
+def test_glob_matches_brute_force_oracle(pattern, names):
+    # One name spells the pattern out, so a rule that reads "[" as a
+    # character class (or any other special) has a name to miss.
+    names = sorted(names | {pattern.replace("*", "").replace("?", "b") or "a"})
+    state = make_state()
+    state.listings[state.base_dir] = names
+    expected = [name for name in names if _glob_oracle(pattern, name)]
+    assert scriptlet.BUILTINS["glob"][1](state, pattern) == expected
 
 
 def test_glob_uses_base_dir_not_file_dir(tmp_path):
