@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import sys
 
-from .core import EngineError, Mode, UsageError, new_engine_state
+from .core import EngineError, UsageError
 from .rewriter import process_file
 from .styles import STYLES, detect_style
 
@@ -24,10 +24,9 @@ USAGE = "usage: textforge [-replace] [-o=PATH] [-e=CODE] [-style=NAME] FILE..."
 
 
 class CliOptions:
-    __slots__ = ("mode", "out_path", "init_code", "style_override", "files")
+    __slots__ = ("out_path", "init_code", "style_override", "files")
 
     def __init__(self):
-        self.mode = Mode.UPDATE
         self.out_path: str | None = None
         self.init_code: str | None = None
         self.style_override: str | None = None
@@ -35,11 +34,13 @@ class CliOptions:
 
 
 def parse_args(argv: list[str]) -> CliOptions:
-    """Parse command-line arguments; raises UsageError on bad invocations."""
+    """Parse command-line arguments; raises UsageError on bad invocations.
+    The result has an `out_path` exactly when -replace was given."""
     opts = CliOptions()
+    replace = False
     for arg in argv:
         if arg == "-replace":
-            opts.mode = Mode.REPLACE
+            replace = True
         elif arg.startswith("-o="):
             opts.out_path = arg[3:]
         elif arg.startswith("-e="):
@@ -52,9 +53,9 @@ def parse_args(argv: list[str]) -> CliOptions:
             opts.files.append(arg)
     if not opts.files:
         raise UsageError("no input files")
-    if opts.mode is Mode.REPLACE and not opts.out_path:
+    if replace and not opts.out_path:
         raise UsageError("-replace requires -o=PATH")
-    if opts.out_path and opts.mode is not Mode.REPLACE:
+    if opts.out_path is not None and not replace:
         raise UsageError("-o is only valid together with -replace")
     if opts.out_path and len(opts.files) > 1:
         raise UsageError("-o cannot be used with multiple input files")
@@ -74,14 +75,10 @@ def run(opts: CliOptions) -> int:
 
     status = 0
     for path in opts.files:
-        style = override or detect_style(path)
-        state = new_engine_state(path, opts.mode, style)
         try:
-            process_file(path, state, out_path=opts.out_path,
-                         init_code=opts.init_code)
+            process_file(path, override or detect_style(path),
+                         out_path=opts.out_path, init_code=opts.init_code)
         except EngineError as exc:
-            if exc.file is None:
-                exc.file = path
             print(exc.diagnostic(), file=sys.stderr)
             status = 1
         except OSError as exc:

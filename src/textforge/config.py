@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import os
 
-from .core import EngineState
+from .core import EngineError, EngineState
 from .scriptlet import eval_program, parse_scriptlet
 
 NO_CONF_ENV = "TEXTFORGE_NO_CONF"
@@ -40,33 +40,24 @@ def exec_conf_chain(chain: tuple[str, ...], state: EngineState) -> None:
 
     Conf output ($O) is discarded and relative paths in builtins resolve
     against the conf file's own directory while it runs. Parse and runtime
-    errors name the conf file. Marks the state so a second
-    read_starfish_conf() is a no-op.
+    errors name the conf file. The state is marked before the first conf
+    runs, so any read_starfish_conf() after this call, or inside a conf,
+    is a no-op.
     """
-    saved_buffer = state.out_buffer
+    state.conf_loaded = True
     saved_base = state.base_dir
     try:
         for path in chain:
             with open(path, "rb") as fh:
                 source = fh.read().decode("utf-8", "surrogateescape")
+            state.base_dir = os.path.dirname(path)
             try:
-                program = parse_scriptlet(source)
-                state.base_dir = os.path.dirname(path)
-                state.out_buffer = ""
-                eval_program(program, state)
-            except Exception as exc:
-                _name_conf(exc, path)
+                eval_program(parse_scriptlet(source), state)
+            except EngineError as exc:
+                exc.file = path
                 raise
     finally:
-        state.out_buffer = saved_buffer
         state.base_dir = saved_base
-    state.conf_loaded = True
-
-
-def _name_conf(exc: Exception, path: str) -> None:
-    file = getattr(exc, "file", None)
-    if file is None and hasattr(exc, "file"):
-        exc.file = path
 
 
 def load_for_state(state: EngineState) -> None:

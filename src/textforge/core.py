@@ -1,23 +1,17 @@
 """Domain types shared by the whole engine.
 
 The engine walks a text file looking for *hooks* (snippet delimiters or
-regular expressions), evaluates embedded scriptlets against a
-per-file state, and either appends their output in place (update mode) or
-substitutes it for the markup (replace mode).
+regular expressions), evaluates embedded scriptlets against a per-file
+`EngineState`, and either appends their output in place (update) or
+substitutes it for the markup (replace, when an output path is given).
+Scanner and scriptlet errors carry a line and column only; the file is
+filled in by `rewriter.process_file`, or by `config` for a conf's error.
 """
 from __future__ import annotations
 
 import os
 import re
 from collections import namedtuple
-from enum import Enum
-
-
-class Mode(Enum):
-    """Processing mode for one run over a file."""
-
-    UPDATE = "update"
-    REPLACE = "replace"
 
 
 class EngineError(Exception):
@@ -124,47 +118,34 @@ Value = str | int | bool | list
 
 
 class EngineState:
-    """Mutable per-file state threaded through scanning and evaluation.
+    """Mutable state of one file's run, built from its path and style.
 
     Snippets may retarget `hooks`, `out_delims`, `line_comment` and
     `indent_adjust` mid-file; mutations affect all subsequent scanning.
-    `out_buffer` is the scriptlet accumulator `$O`, reset before each snippet.
-    `listings` maps each directory `glob()` has read to its sorted entries.
+    `base_dir` is where `glob()` looks: the file's directory, or a conf's
+    while that conf runs. `listings` maps each directory `glob()` has read
+    to its sorted entries.
     """
 
-    __slots__ = ("mode", "file_path", "hooks", "out_delims", "line_comment",
-                 "indent_adjust", "scope", "out_buffer", "conf_loaded",
-                 "base_dir", "file_mtime", "listings")
+    __slots__ = ("file_path", "hooks", "out_delims", "line_comment",
+                 "indent_adjust", "scope", "conf_loaded", "base_dir",
+                 "file_mtime", "listings")
 
-    def __init__(self, mode: Mode, file_path: str, hooks: list[Hook],
-                 out_delims: OutDelims, line_comment: str | None,
-                 indent_adjust: bool, base_dir: str = ""):
-        self.mode = mode
+    def __init__(self, file_path: str, style: Style):
         self.file_path = file_path
-        self.hooks = hooks
-        self.out_delims = out_delims
-        self.line_comment = line_comment
-        self.indent_adjust = indent_adjust
+        self.apply_style(style)
         self.scope: dict[str, Value] = {}
-        self.out_buffer = ""
         self.conf_loaded = False
-        self.base_dir = base_dir
+        self.base_dir = os.path.dirname(os.path.abspath(file_path))
         self.file_mtime: float | None = None
         self.listings: dict[str, list[str]] = {}
 
-
-def new_engine_state(path: str, mode: Mode, style: Style) -> EngineState:
-    """Build a fresh state for one file. Pure construction: the file's
-    existence is the caller's concern and `style` is never mutated."""
-    return EngineState(
-        mode=mode,
-        file_path=path,
-        hooks=list(style.hooks),
-        out_delims=style.out_delims,
-        line_comment=style.line_comment,
-        indent_adjust=style.indent_adjust,
-        base_dir=os.path.dirname(os.path.abspath(path)),
-    )
+    def apply_style(self, style: Style) -> None:
+        """Take over the style's settings; `style` itself is never mutated."""
+        self.hooks = list(style.hooks)
+        self.out_delims = style.out_delims
+        self.line_comment = style.line_comment
+        self.indent_adjust = style.indent_adjust
 
 
 def line_col(text: str, offset: int) -> tuple[int, int]:

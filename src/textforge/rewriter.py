@@ -1,10 +1,11 @@
-"""Rendering a file's segments, each as soon as it is evaluated.
+"""Processing one file: `process_file` renders its segments, each as soon
+as it is evaluated, and writes the result.
 
-Update mode keeps every snippet in place and appends its output directly
-after the end delimiter, wrapped in output markers whose shared digit infix
-is chosen so neither marker collides with the output text. Replace mode
-drops the snippet markup (including the line's leading whitespace when the
-snippet starts its line) and keeps only the bare output.
+Update keeps every snippet in place and appends its output directly after
+the end delimiter, wrapped in output markers whose shared digit infix is
+chosen so neither marker collides with the output text. Replace drops the
+snippet markup (including the line's leading whitespace when the snippet
+starts its line) and keeps only the bare output.
 """
 from __future__ import annotations
 
@@ -15,12 +16,12 @@ import tempfile
 from collections import namedtuple
 
 from .core import (
+    EngineError,
     EngineState,
     EvalError,
-    Mode,
     OutDelims,
     ParseError,
-    UsageError,
+    Style,
     line_col,
 )
 from .scanner import Outer, Snippet, iter_segments
@@ -91,7 +92,7 @@ def _substitute_template(template: str, captures: tuple[str, ...]) -> str:
 
 
 def _rebase_error(exc, text: str, seg: Snippet, begin_len: int,
-                  removed: list[int], path: str):
+                  removed: list[int]):
     """Map a scriptlet error from snippet-relative to file coordinates."""
     base_line, base_col = line_col(text, seg.offset)
     rel_line = exc.line or 1
@@ -102,26 +103,22 @@ def _rebase_error(exc, text: str, seg: Snippet, begin_len: int,
         col = base_col + begin_len + rel_col - 1
     else:
         col = rel_col
-    return type(exc)(exc.message, file=path,
-                     line=base_line + rel_line - 1, col=col)
+    return type(exc)(exc.message, line=base_line + rel_line - 1, col=col)
 
 
 def _eval_snippet(text: str, seg: Snippet, state: EngineState) -> str:
-    state.out_buffer = ""
     hook = state.hooks[seg.hook_index]
     prepared, removed = strip_line_comments(seg.code, state.line_comment)
     try:
-        program = parse_scriptlet(prepared)
-        return eval_program(program, state)
+        return eval_program(parse_scriptlet(prepared), state)
     except (ParseError, EvalError) as exc:
-        if exc.file is not None:  # e.g. an error inside a conf file
+        if exc.file is not None:  # an error inside a conf file
             raise
-        raise _rebase_error(exc, text, seg, len(hook.begin), removed,
-                            state.file_path) from None
+        raise _rebase_error(exc, text, seg, len(hook.begin), removed) from None
 
 
 def _render_snippet(parts: list[str], seg: Snippet, out: str,
-                    mode: Mode) -> None:
+                    replace: bool) -> None:
     """Append one evaluated snippet to `parts`.
 
     Update mode keeps the snippet verbatim and appends a fresh output block
@@ -135,7 +132,7 @@ def _render_snippet(parts: list[str], seg: Snippet, out: str,
     if seg.indent_adjust and seg.indent:
         out = indent_output(out, seg.indent)
     delims = seg.out_delims
-    if mode is Mode.UPDATE:
+    if not replace:
         parts.append(seg.raw)
         if out:
             infix = choose_infix(out, delims)
@@ -149,57 +146,53 @@ def _render_snippet(parts: list[str], seg: Snippet, out: str,
     parts.append(out)
 
 
-def process_file(path: str, state: EngineState, *, out_path: str | None = None,
+def process_file(path: str, style: Style, *, out_path: str | None = None,
                  init_code: str | None = None) -> RenderedFile:
-    """Process one file: read, run optional init code, then evaluate and
-    render each segment in document order, and write the result.
+    """Process one file with `style`: read it, run `init_code` if given,
+    evaluate and render each segment in document order, and write the
+    result. Each call starts from a fresh `EngineState`.
 
-    Update mode rewrites `path` in place (only when the bytes actually
-    change) and leaves regex-hook matches alone; replace mode writes to
-    `out_path`, substitutes each regex-hook match with its template, and
-    never touches the input.
+    Without `out_path` the file is updated in place (written only when its
+    bytes change) and regex-hook matches stay as they are. With `out_path`
+    it is replaced: the output goes there, each regex-hook match becomes
+    its template, and the input is never touched. This is the one place
+    that names the file in an error: an `EngineError` without a file gets
+    `path`; one from a conf already names the conf.
     """
-    if state.mode is Mode.REPLACE and not out_path:
-        raise UsageError("replace mode requires an output path")
-    if state.mode is Mode.UPDATE and out_path:
-        raise UsageError("update mode rewrites in place; -o is not allowed")
+    state = EngineState(path, style)
+    replace = out_path is not None
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+            st = os.fstat(fh.fileno())
+        text = data.decode("utf-8", "surrogateescape")
+        state.file_mtime = st.st_mtime
+        if init_code:
+            eval_program(parse_scriptlet(init_code), state)
 
-    with open(path, "rb") as fh:
-        data = fh.read()
-        st = os.fstat(fh.fileno())
-    text = data.decode("utf-8", "surrogateescape")
-    state.file_mtime = st.st_mtime
+        parts: list[str] = []
+        for seg in iter_segments(text, state):
+            if isinstance(seg, Outer):
+                parts.append(seg.text)
+            elif isinstance(seg, Snippet):
+                _render_snippet(parts, seg, _eval_snippet(text, seg, state),
+                                replace)
+            elif not replace:  # a regex-hook match stays as is
+                parts.append(seg.matched)
+            else:
+                hook = state.hooks[seg.hook_index]
+                parts.append(_substitute_template(hook.template, seg.captures))
+        new_text = "".join(parts)
 
-    if init_code:
-        try:
-            program = parse_scriptlet(init_code)
-            eval_program(program, state)
-        except (ParseError, EvalError) as exc:
-            if exc.file is None:
-                exc.file = path
-            raise
-        state.out_buffer = ""
-
-    parts: list[str] = []
-    for seg in iter_segments(text, state):
-        if isinstance(seg, Outer):
-            parts.append(seg.text)
-        elif isinstance(seg, Snippet):
-            _render_snippet(parts, seg, _eval_snippet(text, seg, state),
-                            state.mode)
-        elif state.mode is Mode.UPDATE:  # a regex-hook match stays as is
-            parts.append(seg.matched)
+        if replace:
+            write_if_changed(out_path, new_text)
+            changed = new_text.encode("utf-8", "surrogateescape") != data
         else:
-            hook = state.hooks[seg.hook_index]
-            parts.append(_substitute_template(hook.template, seg.captures))
-    new_text = "".join(parts)
-
-    if state.mode is Mode.UPDATE:
-        changed = write_if_changed(path, new_text, data, st)
-    else:
-        assert out_path is not None
-        write_if_changed(out_path, new_text)
-        changed = new_text.encode("utf-8", "surrogateescape") != data
+            changed = write_if_changed(path, new_text, data, st)
+    except EngineError as exc:
+        if exc.file is None:
+            exc.file = path
+        raise
     return RenderedFile(text=new_text, changed=changed)
 
 
@@ -213,8 +206,9 @@ def write_if_changed(path: str, text: str, current: bytes | None = None,
     (a missing target always differs). Updates go through a temp file in the
     same directory followed by a rename; an existing file keeps its
     permission bits. A symlink is written through: the file it resolves to
-    is replaced and the link stays. A failed write raises an OSError that
-    names `path`.
+    is replaced and the link stays. A target with more than one hard link
+    is refused with an EngineError when its bytes would change. A failed
+    write raises an OSError that names `path`.
     """
     data = text.encode("utf-8", "surrogateescape")
     if current is None:
@@ -226,6 +220,11 @@ def write_if_changed(path: str, text: str, current: bytes | None = None,
             pass
     if current == data:
         return False
+    if current_stat is not None and current_stat.st_nlink > 1:
+        # Renaming would split the links; writing in place could clobber
+        # the file if the write fails. Neither is acceptable.
+        raise EngineError(f"refusing to replace '{path}': it has "
+                          f"{current_stat.st_nlink} hard links")
     mode = None if current_stat is None else stat.S_IMODE(current_stat.st_mode)
 
     target = os.path.realpath(path)

@@ -92,8 +92,7 @@ def _search(text: str, hook: Hook, from_: int):
 
 
 def find_next_match(text: str, from_: int, hooks: list[Hook],
-                    *, file: str | None = None,
-                    cache: dict | None = None) -> tuple | None:
+                    *, cache: dict | None = None) -> tuple | None:
     """Earliest hook match at or after `from_`, as
     (hook_index, start, end, captures) with `end` exclusive, or None.
 
@@ -126,13 +125,12 @@ def find_next_match(text: str, from_: int, hooks: list[Hook],
     if dangling is not None and (best is None or dangling < best[1]):
         ln, col = line_col(text, dangling)
         raise UnterminatedSnippetError(
-            "snippet begin delimiter is never terminated",
-            file=file, line=ln, col=col)
+            "snippet begin delimiter is never terminated", line=ln, col=col)
     return best
 
 
-def detect_output_block(text: str, at: int, delims: OutDelims,
-                        *, file: str | None = None) -> ExistingOutput | None:
+def detect_output_block(text: str, at: int,
+                        delims: OutDelims) -> ExistingOutput | None:
     """Existing output block starting exactly at `at`, or None.
 
     The infix is a maximal run of decimal digits between b1 and b2; the end
@@ -154,7 +152,7 @@ def detect_output_block(text: str, at: int, delims: OutDelims,
         ln, col = line_col(text, at)
         raise UnterminatedOutputError(
             "output block begin marker has no matching end marker",
-            file=file, line=ln, col=col)
+            line=ln, col=col)
     end = k + len(end_marker)
     return ExistingOutput(text[at:end])
 
@@ -196,8 +194,7 @@ def iter_segments(text: str, state: EngineState) -> Iterator[Segment]:
     skipped: list[tuple[int, int]] = []  # blocks consumed on the source line
     found: dict = {}  # hook -> its next occurrence, for find_next_match
     while True:
-        match = find_next_match(text, pos, state.hooks, file=state.file_path,
-                                cache=found)
+        match = find_next_match(text, pos, state.hooks, cache=found)
         if match is None:
             if pos < n:
                 yield Outer(text[pos:])
@@ -213,8 +210,7 @@ def iter_segments(text: str, state: EngineState) -> Iterator[Segment]:
         if isinstance(hook, BeginEnd):
             indent, prefix = _line_prefix(text, line_start, skipped, start)
             delims = state.out_delims
-            existing = detect_output_block(text, end, delims,
-                                           file=state.file_path)
+            existing = detect_output_block(text, end, delims)
             yield Snippet(
                 raw=text[start:end],
                 code=text[start + len(hook.begin):end - len(hook.end)],

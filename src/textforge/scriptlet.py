@@ -179,17 +179,17 @@ MAX_STRING = 2**26
 
 
 class _Run:
-    """What one eval_program call works on. `$O` is kept as a list of pieces
-    that is joined only when it is read, assigned or the run ends, so a run
-    of echoes costs time linear in the output."""
+    """What one eval_program call works on. `$O` starts empty and is kept as
+    a list of pieces that is joined only when it is read, assigned or the run
+    ends, so a run of echoes costs time linear in the output."""
 
     __slots__ = ("state", "scope", "out", "out_len", "loops")
 
     def __init__(self, state: EngineState):
         self.state = state
         self.scope = state.scope
-        self.out = [state.out_buffer]
-        self.out_len = len(state.out_buffer)
+        self.out: list[str] = []
+        self.out_len = 0
         self.loops = 0
 
     def read_out(self) -> str:
@@ -521,15 +521,12 @@ def truthy(value: Value) -> bool:
 
 
 def eval_program(program: tuple, state: EngineState) -> str:
-    """Run a program from `parse_scriptlet` against `state`; returns the
-    final `$O`, which is also left in `state.out_buffer`."""
+    """Run a program from `parse_scriptlet` against `state`, in its scope;
+    returns the program's output, `$O`, which starts empty on every call."""
     run = _Run(state)
-    try:
-        for stmt in program:
-            stmt(run)
-    finally:
-        state.out_buffer = "".join(run.out)
-    return state.out_buffer
+    for stmt in program:
+        stmt(run)
+    return "".join(run.out)
 
 
 # --- builtin functions --------------------------------------------------
@@ -567,10 +564,7 @@ def _set_style(state: EngineState, name: Value) -> str:
     if style is None:
         known = ", ".join(sorted(STYLES))
         raise EvalError(f"unknown style '{stringify(name)}' (known: {known})")
-    state.hooks = list(style.hooks)
-    state.out_delims = style.out_delims
-    state.line_comment = style.line_comment
-    state.indent_adjust = style.indent_adjust
+    state.apply_style(style)
     return ""
 
 
@@ -605,7 +599,7 @@ def _set_out_delimiters(state: EngineState, b1: Value, b2: Value,
 
 def _glob(state: EngineState, pattern: Value) -> list:
     pat = stringify(pattern)
-    base = state.base_dir or os.path.dirname(os.path.abspath(state.file_path))
+    base = state.base_dir
     # A file's snippets all run before anything is written, so one sorted
     # listing per directory serves the whole file.
     names = state.listings.get(base)

@@ -1,11 +1,11 @@
 """Tiny shared helpers for the test modules."""
-from textforge.core import Mode, new_engine_state
+from textforge.core import EngineState
 from textforge.scanner import Outer, Snippet
 from textforge.styles import STYLES
 
 
-def make_state(path="doc.txt", mode=Mode.UPDATE, style="default"):
-    return new_engine_state(path, mode, STYLES[style])
+def make_state(path="doc.txt", style="default"):
+    return EngineState(path, STYLES[style])
 
 
 def concat_segments(segments):

@@ -13,9 +13,10 @@ import pytest
 import goldens
 from helpers import concat_segments, make_state
 from textforge.cli import main
-from textforge.core import Mode, OutDelims, UnterminatedSnippetError
+from textforge.core import OutDelims, UnterminatedSnippetError
 from textforge.rewriter import choose_infix, process_file, write_if_changed
 from textforge.scanner import detect_output_block, iter_segments
+from textforge.styles import STYLES
 
 JAVA_DELIMS = OutDelims("//", "+\n", "//", "-\n")
 
@@ -76,11 +77,11 @@ def test_criterion_03_update_is_idempotent_and_mtime_safe(report, tmp_path):
     with report(3, "second update changes zero bytes and leaves mtime untouched"):
         f = tmp_path / "simple.java"
         f.write_text(goldens.JAVA_PRISTINE)
-        process_file(str(f), make_state(path=str(f), style="java"))
+        process_file(str(f), STYLES["java"])
         assert f.read_text() == goldens.JAVA_UPDATED_TEST
         past = 1_500_000_000
         os.utime(f, (past, past))
-        result = process_file(str(f), make_state(path=str(f), style="java"))
+        result = process_file(str(f), STYLES["java"])
         assert result.changed is False
         assert f.read_text() == goldens.JAVA_UPDATED_TEST
         assert os.stat(f).st_mtime_ns == past * 10**9

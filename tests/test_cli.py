@@ -8,14 +8,13 @@ import pytest
 
 import goldens
 from textforge.cli import USAGE, main, parse_args
-from textforge.core import Mode, UsageError
+from textforge.core import UsageError
 
 
 # --- argument parsing -------------------------------------------------------
 
 def test_parse_plain_update():
     opts = parse_args(["simple.java"])
-    assert opts.mode is Mode.UPDATE
     assert opts.files == ["simple.java"]
     assert opts.out_path is None
     assert opts.init_code is None
@@ -24,7 +23,6 @@ def test_parse_plain_update():
 
 def test_parse_replace_with_output():
     opts = parse_args(["-replace", "-o=release/simple.java", "simple.java"])
-    assert opts.mode is Mode.REPLACE
     assert opts.out_path == "release/simple.java"
     assert opts.files == ["simple.java"]
 
@@ -43,6 +41,8 @@ def test_parse_usage_errors():
     for argv in ([],
                  ["-replace", "x"],
                  ["-o=out", "f"],
+                 ["-o=", "f"],
+                 ["-replace", "-o=", "f"],
                  ["-replace", "-o=out", "a", "b"],
                  ["-x", "f"],
                  ["--frob", "f"]):
@@ -151,6 +151,35 @@ def test_main_updates_through_a_symlink(tmp_path):
     after = os.stat(target)
     assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
     assert link.is_symlink()
+
+
+def test_main_refuses_to_replace_a_hardlinked_file(tmp_path, capsys):
+    h1, h2 = tmp_path / "h1.txt", tmp_path / "h2.txt"
+    h1.write_text("<? echo 'x'; !>\n")
+    os.link(h1, h2)
+    before = os.stat(h1)
+    assert main([str(h1)]) == 1
+    assert capsys.readouterr().err == \
+        f"{h1}:0:0: refusing to replace '{h1}': it has 2 hard links\n"
+    for name in (h1, h2):
+        after = os.stat(name)
+        assert (after.st_ino, after.st_nlink, after.st_mtime_ns) == \
+            (before.st_ino, 2, before.st_mtime_ns)
+        assert name.read_text() == "<? echo 'x'; !>\n"
+    assert sorted(os.listdir(tmp_path)) == ["h1.txt", "h2.txt"]
+    h1.write_text("<? echo 'x'; !>#+\nx#-\n\n")  # up to date: nothing to write
+    assert main([str(h1)]) == 0
+    assert os.stat(h2).st_nlink == 2
+
+
+def test_main_nested_read_starfish_conf_is_a_no_op(tmp_path, capsys):
+    (tmp_path / "starfish.conf").write_text(
+        "$a = 'A'; read_starfish_conf(); $b = $a . 'B';")
+    f = tmp_path / "doc.txt"
+    f.write_text("<? read_starfish_conf(); echo $a, $b; !>\n")
+    assert main([str(f)]) == 0
+    assert capsys.readouterr().err == ""
+    assert f.read_text() == "<? read_starfish_conf(); echo $a, $b; !>#+\nAAB#-\n\n"
 
 
 def test_main_reports_scriptlet_error_position(tmp_path, capsys):

@@ -11,7 +11,9 @@ from textforge.config import (
     load_for_state,
 )
 from textforge.core import EvalError, ParseError
+from textforge.rewriter import process_file
 from textforge.scriptlet import eval_program, parse_scriptlet
+from textforge.styles import STYLES
 
 
 def _conf(directory, source):
@@ -68,10 +70,10 @@ def test_exec_runs_in_order_so_deeper_overrides(tmp_path):
 
 def test_exec_discards_conf_output(tmp_path):
     _conf(tmp_path, "echo 'noise';")
-    state = make_state(path=str(tmp_path / "f.txt"))
-    state.out_buffer = "kept"
-    exec_conf_chain(find_conf_chain(str(tmp_path)), state)
-    assert state.out_buffer == "kept"
+    f = tmp_path / "f.txt"
+    f.write_text("<? read_starfish_conf(); !>")
+    assert process_file(str(f), STYLES["default"]).changed is False
+    assert f.read_text() == "<? read_starfish_conf(); !>"
 
 
 def test_read_conf_after_echo_keeps_the_snippets_output(tmp_path):
@@ -79,7 +81,6 @@ def test_read_conf_after_echo_keeps_the_snippets_output(tmp_path):
     state = make_state(path=str(tmp_path / "f.txt"))
     program = parse_scriptlet("echo 'a'; read_starfish_conf(); echo $v, $O;")
     assert eval_program(program, state) == "asetaset"
-    assert state.out_buffer == "asetaset"
 
 
 def test_exec_resolves_paths_against_conf_directory(tmp_path):

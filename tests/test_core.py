@@ -7,17 +7,12 @@ from hypothesis import given, strategies as st
 from textforge.core import (
     BeginEnd,
     EngineError,
-    Mode,
+    EngineState,
     OutDelims,
     Pattern,
     line_col,
-    new_engine_state,
 )
 from textforge.styles import STYLES
-
-
-def test_mode_members():
-    assert {m.value for m in Mode} == {"update", "replace"}
 
 
 def test_engine_error_diagnostic():
@@ -53,7 +48,7 @@ def test_out_delims_markers():
 
 def test_new_engine_state_copies_hooks():
     style = STYLES["java"]
-    state = new_engine_state("x.java", Mode.UPDATE, style)
+    state = EngineState("x.java", style)
     assert state.hooks == list(style.hooks)
     state.hooks.append(Pattern("zz", ""))
     # the style itself must stay pristine for the next file
@@ -62,11 +57,8 @@ def test_new_engine_state_copies_hooks():
 
 def test_new_engine_state_defaults():
     style = STYLES["default"]
-    state = new_engine_state(os.path.join("some", "dir", "f.txt"),
-                             Mode.REPLACE, style)
-    assert state.mode is Mode.REPLACE
+    state = EngineState(os.path.join("some", "dir", "f.txt"), style)
     assert state.scope == {}
-    assert state.out_buffer == ""
     assert state.conf_loaded is False
     assert state.base_dir == os.path.abspath(os.path.join("some", "dir"))
     assert state.line_comment == "#"

@@ -5,15 +5,14 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import make_state
 from textforge import rewriter, scriptlet
 from textforge.core import (
+    EngineError,
     EvalError,
-    Mode,
     OutDelims,
     ParseError,
+    UnterminatedOutputError,
     UnterminatedSnippetError,
-    UsageError,
 )
 from textforge.rewriter import (
     choose_infix,
@@ -22,6 +21,7 @@ from textforge.rewriter import (
     strip_line_comments,
     write_if_changed,
 )
+from textforge.styles import STYLES
 
 HASH = OutDelims("#", "+\n", "#", "-\n")
 JAVA = OutDelims("//", "+\n", "//", "-\n")
@@ -103,14 +103,14 @@ def test_indent_output_leaves_empty_lines_bare():
     assert indent_output("a\n\nb\n", "\t") == "\ta\n\n\tb\n"
 
 
-def render(tmp_path, text, mode=Mode.UPDATE, style="default", init_code=None):
+def render(tmp_path, text, replace=False, style="default", init_code=None):
     """Process `text` as a file; returns the updated file or the replace
     output."""
     f = tmp_path / "doc.txt"
     f.write_text(text)
-    out = tmp_path / "out.txt" if mode is Mode.REPLACE else None
-    process_file(str(f), make_state(path=str(f), mode=mode, style=style),
-                 out_path=out and str(out), init_code=init_code)
+    out = tmp_path / "out.txt" if replace else None
+    process_file(str(f), STYLES[style], out_path=out and str(out),
+                 init_code=init_code)
     return (out or f).read_text()
 
 
@@ -148,7 +148,7 @@ def test_update_java_style_does_not_indent(tmp_path):
 def test_update_keeps_literal_and_pattern_matches_verbatim(tmp_path):
     f = tmp_path / "doc.txt"
     f.write_text("a @NOW@ b")
-    result = process_file(str(f), make_state(path=str(f)),
+    result = process_file(str(f), STYLES["default"],
                           init_code="add_regex_hook('@([A-Z]+)@', 'later');")
     assert result.changed is False
     assert f.read_text() == "a @NOW@ b"
@@ -158,31 +158,31 @@ def test_update_keeps_literal_and_pattern_matches_verbatim(tmp_path):
 
 def test_replace_whole_line_snippet_takes_its_whitespace(tmp_path):
     assert render(tmp_path, "    //<? echo '    x();'; !>\nrest",
-                  Mode.REPLACE, "java") == "    x();\n\nrest"
+                  replace=True, style="java") == "    x();\n\nrest"
 
 
 def test_replace_mid_line_snippet_keeps_prefix(tmp_path):
-    assert render(tmp_path, "a <? echo 'X'; !> b", Mode.REPLACE) == "a X\n b"
+    assert render(tmp_path, "a <? echo 'X'; !> b", replace=True) == "a X\n b"
 
 
 def test_replace_empty_output_leaves_blank_line(tmp_path):
     assert render(tmp_path, "    //<? $a = 1; !>\nrest",
-                  Mode.REPLACE, "java") == "\nrest"
+                  replace=True, style="java") == "\nrest"
 
 
 def test_replace_drops_stale_output_block(tmp_path):
     assert render(tmp_path, "x//<? echo 'NEW'; !>//+\nOLD//-\ny",
-                  Mode.REPLACE, "java") == "xNEW\ny"
+                  replace=True, style="java") == "xNEW\ny"
 
 
 def test_replace_substitutes_literal_and_pattern_outputs(tmp_path):
-    assert render(tmp_path, "a @NOW@ b", Mode.REPLACE,
+    assert render(tmp_path, "a @NOW@ b", replace=True,
                   init_code="add_regex_hook('@([A-Z]+)@', 'later');") == "a later b"
 
 
 def test_replace_no_ensured_newline_without_newline_delims(tmp_path):
     assert render(tmp_path, "<p><!--<? echo 'X'; !>--></p>",
-                  Mode.REPLACE, "html") == "<p>X</p>"
+                  replace=True, style="html") == "<p>X</p>"
 
 
 # --- process_file ----------------------------------------------------------
@@ -190,8 +190,7 @@ def test_replace_no_ensured_newline_without_newline_delims(tmp_path):
 def test_process_update_rewrites_in_place(tmp_path):
     f = tmp_path / "doc.txt"
     f.write_text("x<? echo 'hi'; !>y")
-    state = make_state(path=str(f))
-    result = process_file(str(f), state)
+    result = process_file(str(f), STYLES["default"])
     assert result.changed is True
     assert f.read_text() == "x<? echo 'hi'; !>#+\nhi#-\ny"
 
@@ -199,11 +198,11 @@ def test_process_update_rewrites_in_place(tmp_path):
 def test_process_update_is_idempotent_and_preserves_mtime(tmp_path):
     f = tmp_path / "doc.txt"
     f.write_text("x<? echo 'hi'; !>y")
-    process_file(str(f), make_state(path=str(f)))
+    process_file(str(f), STYLES["default"])
     past = 1_000_000_000
     os.utime(f, (past, past))
     before = os.stat(f).st_mtime_ns
-    result = process_file(str(f), make_state(path=str(f)))
+    result = process_file(str(f), STYLES["default"])
     assert result.changed is False
     assert os.stat(f).st_mtime_ns == before
 
@@ -213,27 +212,16 @@ def test_process_replace_writes_only_out_path(tmp_path):
     out = tmp_path / "out.txt"
     original = "x<? echo 'hi'; !>y"
     f.write_text(original)
-    state = make_state(path=str(f), mode=Mode.REPLACE)
-    process_file(str(f), state, out_path=str(out))
+    process_file(str(f), STYLES["default"], out_path=str(out))
     assert f.read_text() == original
     assert out.read_text() == "xhi\ny"
-
-
-def test_process_mode_and_out_path_must_agree(tmp_path):
-    f = tmp_path / "doc.txt"
-    f.write_text("plain")
-    with pytest.raises(UsageError):
-        process_file(str(f), make_state(path=str(f), mode=Mode.REPLACE))
-    with pytest.raises(UsageError):
-        process_file(str(f), make_state(path=str(f)),
-                     out_path=str(tmp_path / "o"))
 
 
 def test_process_init_code_runs_before_snippets(tmp_path):
     f = tmp_path / "doc.txt"
     f.write_text("<? echo $who; !>")
-    state = make_state(path=str(f))
-    process_file(str(f), state, init_code="$who = 'me'; echo 'discarded';")
+    process_file(str(f), STYLES["default"],
+                 init_code="$who = 'me'; echo 'discarded';")
     assert f.read_text() == "<? echo $who; !>#+\nme#-\n"
 
 
@@ -241,7 +229,7 @@ def test_process_init_code_errors_name_the_file(tmp_path):
     f = tmp_path / "doc.txt"
     f.write_text("plain")
     with pytest.raises(ParseError) as exc:
-        process_file(str(f), make_state(path=str(f)), init_code="$x = ;")
+        process_file(str(f), STYLES["default"], init_code="$x = ;")
     assert exc.value.file == str(f)
 
 
@@ -250,15 +238,14 @@ def test_process_pattern_hook_replace_substitutes_captures(tmp_path):
     f.write_text("see v42.")
     out = tmp_path / "out.txt"
     init = "add_regex_hook('v([0-9]+)', 'version $1');"
-    state = make_state(path=str(f), mode=Mode.REPLACE)
-    process_file(str(f), state, out_path=str(out), init_code=init)
+    process_file(str(f), STYLES["default"], out_path=str(out), init_code=init)
     assert out.read_text() == "see version 42."
 
 
 def test_process_hooks_added_by_snippets_apply_downstream(tmp_path):
     f = tmp_path / "doc.txt"
     f.write_text("<? add_hook('[[', ']]'); !> [[ echo 'x'; ]]")
-    process_file(str(f), make_state(path=str(f)))
+    process_file(str(f), STYLES["default"])
     assert f.read_text() == "<? add_hook('[[', ']]'); !> [[ echo 'x'; ]]#+\nx#-\n"
 
 
@@ -266,12 +253,12 @@ def test_process_out_delims_snapshot_keeps_idempotence(tmp_path):
     f = tmp_path / "doc.txt"
     f.write_text("<? set_out_delimiters('[', '+', ']', '-'); echo 'a'; !>X"
                  "<? echo 'b'; !>")
-    process_file(str(f), make_state(path=str(f)))
+    process_file(str(f), STYLES["default"])
     first = f.read_text()
     # first snippet was scanned before its own retargeting took effect
     assert first == ("<? set_out_delimiters('[', '+', ']', '-'); echo 'a'; !>"
                      "#+\na#-\nX<? echo 'b'; !>[+b]-")
-    result = process_file(str(f), make_state(path=str(f)))
+    result = process_file(str(f), STYLES["default"])
     assert result.changed is False
     assert f.read_text() == first
 
@@ -280,7 +267,7 @@ def test_process_error_position_single_line(tmp_path):
     f = tmp_path / "f.java"
     f.write_text("line1\n  //<? $x = $nope; !>\n")
     with pytest.raises(EvalError) as exc:
-        process_file(str(f), make_state(path=str(f), style="java"))
+        process_file(str(f), STYLES["java"])
     assert exc.value.file == str(f)
     assert (exc.value.line, exc.value.col) == (2, 13)
 
@@ -289,15 +276,43 @@ def test_process_error_position_after_comment_stripping(tmp_path):
     f = tmp_path / "f.java"
     f.write_text("//<? echo 'a';\n// echo $bad;\n//!>\n")
     with pytest.raises(EvalError) as exc:
-        process_file(str(f), make_state(path=str(f), style="java"))
+        process_file(str(f), STYLES["java"])
     assert (exc.value.line, exc.value.col) == (2, 9)
+
+
+@pytest.mark.parametrize("text, init_code, error, at", [
+    ("x\n  <? broken", None, UnterminatedSnippetError, (2, 3)),
+    ("x\n<? echo 'a'; !>#+\nno end", None, UnterminatedOutputError, (2, 16)),
+    ("x\n <? echo 'a';\n echo ; !>", None, ParseError, (3, 7)),
+    ("plain", "$x = 1;\n  $y = $nope;", EvalError, (2, 8)),
+])
+def test_process_names_the_file_at_the_error(tmp_path, text, init_code,
+                                             error, at):
+    f = tmp_path / "doc.txt"
+    f.write_text(text)
+    with pytest.raises(error) as exc:
+        process_file(str(f), STYLES["default"], init_code=init_code)
+    assert exc.value.file == str(f)
+    assert (exc.value.line, exc.value.col) == at
+    assert f.read_text() == text
+
+
+def test_process_leaves_a_conf_error_naming_the_conf(tmp_path):
+    conf = tmp_path / "starfish.conf"
+    conf.write_text("$a = 1;\n$b = $nope;")
+    f = tmp_path / "doc.txt"
+    f.write_text("x\n<? read_starfish_conf(); !>")
+    with pytest.raises(EvalError) as exc:
+        process_file(str(f), STYLES["default"])
+    assert exc.value.file == str(conf)
+    assert (exc.value.line, exc.value.col) == (2, 6)
 
 
 def test_process_scan_error_leaves_file_untouched(tmp_path):
     f = tmp_path / "doc.txt"
     f.write_text("x <? broken")
     with pytest.raises(UnterminatedSnippetError):
-        process_file(str(f), make_state(path=str(f)))
+        process_file(str(f), STYLES["default"])
     assert f.read_text() == "x <? broken"
 
 
@@ -309,10 +324,10 @@ def test_process_changed_agrees_with_the_bytes_written(tmp_path):
         open(os.path.join(root, name), "wb").close()
     f = tmp_path / "doc.txt"
     f.write_text("<? echo glob('z*'), glob('*y'); !>")
-    assert process_file(str(f), make_state(path=str(f))).changed is True
+    assert process_file(str(f), STYLES["default"]).changed is True
     assert f.read_bytes() == b"<? echo glob('z*'), glob('*y'); !>#+\nz\xc3\xa9y#-\n"
     before = os.stat(f)
-    assert process_file(str(f), make_state(path=str(f))).changed is False
+    assert process_file(str(f), STYLES["default"]).changed is False
     after = os.stat(f)
     assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
 
@@ -328,10 +343,10 @@ def test_process_update_reads_the_input_once(tmp_path, monkeypatch):
         return open(file, mode, *args, **kwargs)
 
     monkeypatch.setattr(rewriter, "open", counting_open, raising=False)
-    assert process_file(str(f), make_state(path=str(f))).changed is True
+    assert process_file(str(f), STYLES["default"]).changed is True
     assert len(reads) == 1
     reads.clear()
-    assert process_file(str(f), make_state(path=str(f))).changed is False
+    assert process_file(str(f), STYLES["default"]).changed is False
     assert len(reads) == 1
 
 
@@ -351,7 +366,7 @@ def test_process_lists_each_glob_directory_once(tmp_path, monkeypatch):
         return real_listdir(path)
 
     monkeypatch.setattr(scriptlet.os, "listdir", counting_listdir)
-    assert process_file(str(f), make_state(path=str(f))).changed is True
+    assert process_file(str(f), STYLES["default"]).changed is True
     assert sorted(listed) == sorted([str(tmp_path), str(sub)])
     assert f.read_text().count("#+\ndoc.txt#-\n") == 48
 
@@ -398,54 +413,64 @@ def test_write_if_changed_leaves_no_temp_files(tmp_path):
 
 # --- invariants over generated documents -----------------------------------
 
-_OUTER = st.text(alphabet="ab @\n", max_size=6)
+_OUTER = st.text(alphabet="ab @[]\n", max_size=6)
 _SNIPPET_CODE = st.sampled_from([
     "echo 'x';",
     "$v = 1;",
     'echo "a\\n\\nb\\n";',
-    'echo "#-\\n";',          # the plain end fence of the python style
+    'echo "#-\\n";',          # the plain end fence of the hash styles
     'echo "#+ x #1-";',
+    'echo "//-";',            # ... of the java style
+    'echo " -->";',           # ... of the html style
     'echo "]-";',             # the plain end fence set below
     'echo "[+\\n";',
     "echo '@ab@';",
     "add_regex_hook('@([ab]+)@', '<$1>');",
+    "add_hook('[[', ']]');",
     "set_out_delimiters('[', '+', ']', '-');",
     "set_out_delimiters('#', '+\\n', '#', '-\\n');",
+    "set_style('python');",
+    "set_style('java');",
+    "set_style('html');",
 ])
 
 
 @st.composite
 def _documents(draw):
-    """A python-style document: outer text and snippets that either sit
-    mid-line or start an indented line, some as commented multi-line
-    scriptlets."""
+    """A style and a document written with that style's hooks: outer text
+    and snippets that either sit mid-line or start an indented line, some
+    as commented multi-line scriptlets, and some `[[ ]]` snippets that run
+    only once an `add_hook` has registered them."""
+    style = STYLES[draw(st.sampled_from(sorted(STYLES)))]
+    (begin, end), (bare_begin, bare_end) = style.hooks
+    comment = style.line_comment or ""
     parts = []
     for _ in range(draw(st.integers(1, 5))):
         parts.append(draw(_OUTER))
         code = draw(_SNIPPET_CODE)
         indent = draw(st.sampled_from(["", "  ", "\t"]))
-        shape = draw(st.sampled_from(["inline", "line", "commented"]))
+        shape = draw(st.sampled_from(["inline", "line", "commented", "added"]))
         if shape == "inline":
-            parts.append(f"<? {code} !>")
+            parts.append(f"{bare_begin} {code} {bare_end}")
         elif shape == "line":
-            parts.append(f"\n{indent}#<? {code} !>\n")
-        else:
+            parts.append(f"\n{indent}{begin} {code} {end}\n")
+        elif shape == "commented":
             more = draw(_SNIPPET_CODE)
-            parts.append(f"\n{indent}#<? {code}\n{indent}#   {more}\n{indent}# !>\n")
+            parts.append(f"\n{indent}{begin} {code}\n{indent}{comment}   {more}"
+                         f"\n{indent}{comment} {end}\n")
+        else:
+            parts.append(f"[[ {code} ]]")
     parts.append(draw(_OUTER))
-    return "".join(parts)
+    return style, "".join(parts)
 
 
 @settings(deadline=None)
 @given(_documents())
-def test_update_is_a_fixpoint_and_commutes_with_replace(document):
+def test_update_is_a_fixpoint_and_commutes_with_replace(styled_document):
+    style, document = styled_document
     with tempfile.TemporaryDirectory() as tmp:
-        f = os.path.join(tmp, "doc.py")
-        out = os.path.join(tmp, "out.py")
-
-        def run(mode, out_path=None):
-            state = make_state(path=f, mode=mode, style="python")
-            return process_file(f, state, out_path=out_path)
+        f = os.path.join(tmp, "doc.txt")
+        out = os.path.join(tmp, "out.txt")
 
         def read(path):
             with open(path, "rb") as fh:
@@ -453,18 +478,27 @@ def test_update_is_a_fixpoint_and_commutes_with_replace(document):
 
         with open(f, "w") as fh:
             fh.write(document)
-        run(Mode.REPLACE, out)
+        try:
+            process_file(f, style, out_path=out)
+        except EngineError as exc:
+            # A document that fails (a set_style can leave a snippet in the
+            # old style's comments) fails the same way in update, untouched.
+            with pytest.raises(type(exc)) as again:
+                process_file(f, style)
+            assert again.value.diagnostic() == exc.diagnostic()
+            assert read(f) == document.encode()
+            return
         replaced = read(out)
 
-        run(Mode.UPDATE)
+        process_file(f, style)
         past = 1_000_000_000
         os.utime(f, (past, past))
         updated = read(f)
         before = os.stat(f)
-        assert run(Mode.UPDATE).changed is False
+        assert process_file(f, style).changed is False
         after = os.stat(f)
         assert read(f) == updated
         assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
 
-        run(Mode.REPLACE, out)
+        process_file(f, style, out_path=out)
         assert read(out) == replaced

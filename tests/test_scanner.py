@@ -79,10 +79,9 @@ def test_find_skips_zero_width_pattern_matches():
 
 def test_find_dangling_begin_is_an_error():
     with pytest.raises(UnterminatedSnippetError) as exc:
-        find_next_match("a <? x", 0, DEFAULT_HOOKS, file="f.txt")
+        find_next_match("a <? x", 0, DEFAULT_HOOKS)
     assert exc.value.line == 1
     assert exc.value.col == 3
-    assert exc.value.file == "f.txt"
 
 
 def test_find_dangling_after_complete_match_is_fine():
@@ -175,8 +174,8 @@ def test_detect_absent():
 
 def test_detect_unterminated_block():
     with pytest.raises(UnterminatedOutputError) as exc:
-        detect_output_block("//+\nX no end", 0, JAVA_DELIMS, file="f")
-    assert exc.value.file == "f"
+        detect_output_block("//+\nX no end", 0, JAVA_DELIMS)
+    assert (exc.value.line, exc.value.col) == (1, 1)
 
 
 def test_detect_infix_mismatch_is_unterminated():
@@ -283,10 +282,9 @@ def test_scan_pattern_segment():
 
 
 def test_scan_propagates_unterminated_output_position():
-    state = make_state(path="f.txt")
+    state = make_state()
     with pytest.raises(UnterminatedOutputError) as exc:
         list(iter_segments("<? x !>#+\nno end", state))
-    assert exc.value.file == "f.txt"
     assert (exc.value.line, exc.value.col) == (1, 8)
 
 
@@ -317,7 +315,6 @@ def _run_snippets(text, state):
         for seg in iter_segments(text, state):
             segs.append(seg)
             if isinstance(seg, Snippet):
-                state.out_buffer = ""
                 eval_program(parse_scriptlet(seg.code), state)
     except EngineError as exc:
         return segs, (type(exc), exc.line, exc.col, exc.message)
@@ -381,8 +378,8 @@ _FRAGMENTS = st.sampled_from([
 @settings(deadline=None)
 @given(st.lists(_FRAGMENTS, max_size=14).map("".join))
 def test_scan_cache_agrees_with_fresh_searches(text):
-    def uncached(text, from_, hooks, *, file=None, cache=None):
-        return find_next_match(text, from_, hooks, file=file)
+    def uncached(text, from_, hooks, *, cache=None):
+        return find_next_match(text, from_, hooks)
 
     cached = _run_snippets(text, make_state())
     with mock.patch.object(scanner, "find_next_match", uncached):

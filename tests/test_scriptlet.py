@@ -199,11 +199,10 @@ def test_out_buffer_assignment_stringifies():
     assert run("$O = 5 == 5; echo '!';") == "1!"
 
 
-def test_eval_program_appends_to_existing_buffer():
+def test_eval_program_starts_with_an_empty_out():
     state = make_state()
-    run("echo 'a';", state)
-    # resetting between snippets is the caller's job
-    assert run("echo 'b';", state) == "ab"
+    assert run("echo 'a';", state) == "a"
+    assert run("echo 'b', $O;", state) == "bb"
 
 
 def test_scope_persists_across_programs():
@@ -272,7 +271,7 @@ def test_loop_budget_is_per_eval_program_call(tmp_path, monkeypatch):
     state = make_state(path=str(tmp_path / "a"))
     once = parse_scriptlet("for $x in glob('*') { echo $x; }")
     assert eval_program(once, state) == "abc"
-    assert eval_program(once, state) == "abcabc"  # a fresh budget per call
+    assert eval_program(once, state) == "abc"  # a fresh budget per call
     with pytest.raises(EvalError) as exc:
         run("for $x in glob('*') {\n  for $y in glob('*') { } }", state)
     assert exc.value.message == "more than 5 loop iterations"
