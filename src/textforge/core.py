@@ -6,11 +6,12 @@ regular expressions), evaluates embedded scriptlets against a per-file
 substitutes it for the markup (replace, when an output path is given).
 Scanner and scriptlet errors carry a line and column only; the file is
 filled in by `rewriter.process_file`, or by `config` for a conf's error.
+The hook and delimiter types are plain `namedtuple`s that check nothing;
+the scriptlet builtins that build them from outside input do the checking.
 """
 from __future__ import annotations
 
 import os
-import re
 from collections import namedtuple
 
 
@@ -49,50 +50,19 @@ class UsageError(EngineError):
     """Bad command line or unusable option combination."""
 
 
-class Record(tuple):
-    """Base of the value types built on `namedtuple`: a record equals only a
-    record of its own type with equal fields, as a plain tuple would not
-    (a BeginEnd and a Pattern must never share a scanner cache entry)."""
+# Snippet hook: code sits between `begin` and the first following `end`.
+BeginEnd = namedtuple("BeginEnd", "begin end")
 
-    __slots__ = ()
-
-    def __eq__(self, other):
-        return type(other) is type(self) and tuple.__eq__(self, other)
-
-    def __ne__(self, other):
-        return not self == other
-
-    __hash__ = tuple.__hash__
-
-
-class BeginEnd(Record, namedtuple("BeginEnd", "begin end")):
-    """Snippet hook: code sits between `begin` and the first following `end`."""
-
-    __slots__ = ()
-
-    def __new__(cls, begin: str, end: str):
-        if not begin or not end:
-            raise ValueError("hook delimiters must be non-empty")
-        return tuple.__new__(cls, (begin, end))
-
-
-class Pattern(Record, namedtuple("Pattern", "regex template")):
-    """Regex hook; in replace mode the match becomes `template` with $1..$9
-    substituted from capture groups."""
-
-    __slots__ = ()
-
-    def __new__(cls, regex: str, template: str):
-        if not regex:
-            raise ValueError("pattern hook regex must be non-empty")
-        re.compile(regex)  # validate eagerly; re caches the compile
-        return tuple.__new__(cls, (regex, template))
-
+# Regex hook: `regex` is a compiled `re.Pattern`, and in replace mode a match
+# becomes `template` with $1..$9 substituted from capture groups. A compiled
+# pattern never equals a str, so a Pattern never equals a BeginEnd and the
+# two never share a scanner cache entry.
+Pattern = namedtuple("Pattern", "regex template")
 
 Hook = BeginEnd | Pattern
 
 
-class OutDelims(Record, namedtuple("OutDelims", "b1 b2 e1 e2")):
+class OutDelims(namedtuple("OutDelims", "b1 b2 e1 e2")):
     """Output-block delimiters. The full begin marker is b1+infix+b2 and the
     full end marker is e1+infix+e2, where infix is "" or a run of decimal
     digits chosen to avoid collisions with the output text."""

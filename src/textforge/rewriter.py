@@ -13,7 +13,6 @@ import os
 import re
 import stat
 import tempfile
-from collections import namedtuple
 
 from .core import (
     EngineError,
@@ -26,11 +25,6 @@ from .core import (
 )
 from .scanner import Outer, Snippet, iter_segments
 from .scriptlet import eval_program, parse_scriptlet
-
-
-# Result of processing one file: new text and whether its bytes differ from
-# the input's.
-RenderedFile = namedtuple("RenderedFile", "text changed")
 
 
 def strip_line_comments(code: str, line_comment: str | None) -> tuple[str, list[int]]:
@@ -147,17 +141,21 @@ def _render_snippet(parts: list[str], seg: Snippet, out: str,
 
 
 def process_file(path: str, style: Style, *, out_path: str | None = None,
-                 init_code: str | None = None) -> RenderedFile:
+                 init_code: str | None = None) -> bool:
     """Process one file with `style`: read it, run `init_code` if given,
     evaluate and render each segment in document order, and write the
-    result. Each call starts from a fresh `EngineState`.
+    result. Each call starts from a fresh `EngineState`. Returns whether a
+    file was written.
 
     Without `out_path` the file is updated in place (written only when its
     bytes change) and regex-hook matches stay as they are. With `out_path`
     it is replaced: the output goes there, each regex-hook match becomes
-    its template, and the input is never touched. This is the one place
-    that names the file in an error: an `EngineError` without a file gets
-    `path`; one from a conf already names the conf.
+    its template, and the input is never touched; an `out_path` that is
+    the input itself, by any name, is refused. A file whose every newline
+    is CRLF is processed with LF and written with CRLF; any other file is
+    processed byte for byte. This is the one place that names the file in
+    an error: an `EngineError` without a file gets `path`; one from a conf
+    already names the conf.
     """
     state = EngineState(path, style)
     replace = out_path is not None
@@ -165,7 +163,14 @@ def process_file(path: str, style: Style, *, out_path: str | None = None,
         with open(path, "rb") as fh:
             data = fh.read()
             st = os.fstat(fh.fileno())
+        if (replace and os.path.exists(out_path)
+                and os.path.samefile(out_path, path)):
+            raise EngineError(f"refusing to write '{out_path}': it is the input")
         text = data.decode("utf-8", "surrogateescape")
+        # A one-character search is cheap; counting is not, so it comes last.
+        crlf = "\r" in text and 0 < text.count("\r\n") == text.count("\n")
+        if crlf:
+            text = text.replace("\r\n", "\n")
         state.file_mtime = st.st_mtime
         if init_code:
             eval_program(parse_scriptlet(init_code), state)
@@ -183,17 +188,16 @@ def process_file(path: str, style: Style, *, out_path: str | None = None,
                 hook = state.hooks[seg.hook_index]
                 parts.append(_substitute_template(hook.template, seg.captures))
         new_text = "".join(parts)
+        if crlf:
+            new_text = new_text.replace("\n", "\r\n")
 
         if replace:
-            write_if_changed(out_path, new_text)
-            changed = new_text.encode("utf-8", "surrogateescape") != data
-        else:
-            changed = write_if_changed(path, new_text, data, st)
+            return write_if_changed(out_path, new_text)
+        return write_if_changed(path, new_text, data, st)
     except EngineError as exc:
         if exc.file is None:
             exc.file = path
         raise
-    return RenderedFile(text=new_text, changed=changed)
 
 
 def write_if_changed(path: str, text: str, current: bytes | None = None,

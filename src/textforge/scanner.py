@@ -9,7 +9,6 @@ reproduces the input byte for byte.
 """
 from __future__ import annotations
 
-import re
 from collections import namedtuple
 from collections.abc import Iterator
 
@@ -18,49 +17,27 @@ from .core import (
     EngineState,
     Hook,
     OutDelims,
-    Record,
     UnterminatedOutputError,
     UnterminatedSnippetError,
     line_col,
 )
 
 
-class ExistingOutput(Record, namedtuple("ExistingOutput", "raw")):
-    """A previously generated output block found directly after a snippet;
-    raw runs from its begin marker through its end marker."""
+# Text the engine passes through untouched.
+Outer = namedtuple("Outer", "text")
 
-    __slots__ = ()
+# One begin/end-delimited scriptlet occurrence. raw spans begin through end
+# delimiter inclusive; code is the text between them. indent is the leading
+# whitespace of the source line holding the begin delimiter and line_prefix
+# everything on that line before the delimiter (see `iter_segments`).
+# existing_output is the text of the output block that follows the snippet,
+# or None. out_delims/indent_adjust record the values in effect when the
+# snippet was scanned, so later retargeting cannot re-wrap earlier output.
+Snippet = namedtuple("Snippet", "raw code hook_index indent line_prefix "
+                     "existing_output out_delims indent_adjust offset")
 
-
-class Outer(Record, namedtuple("Outer", "text")):
-    """Text the engine passes through untouched."""
-
-    __slots__ = ()
-
-
-class Snippet(Record, namedtuple("Snippet", "raw code hook_index indent "
-                                 "line_prefix existing_output out_delims "
-                                 "indent_adjust offset")):
-    """One begin/end-delimited scriptlet occurrence.
-
-    raw spans begin through end delimiter inclusive; code is the text between
-    them. indent is the leading whitespace of the source line holding the
-    begin delimiter and line_prefix everything on that line before the
-    delimiter (see `iter_segments`). existing_output is the ExistingOutput
-    that follows the snippet, or None.
-    out_delims/indent_adjust record the values in effect when the snippet was
-    scanned, so later retargeting cannot re-wrap earlier output.
-    """
-
-    __slots__ = ()
-
-
-class PatternMatch(Record,
-                   namedtuple("PatternMatch", "hook_index matched captures")):
-    """Text matched by a regex hook, with its capture groups."""
-
-    __slots__ = ()
-
+# Text matched by a regex hook, with its capture groups.
+PatternMatch = namedtuple("PatternMatch", "hook_index matched captures")
 
 Segment = Outer | Snippet | PatternMatch
 
@@ -79,10 +56,9 @@ def _search(text: str, hook: Hook, from_: int):
     # Zero-width matches are skipped: they carry no text to rewrite and
     # would stall the scan. (re.search clamps pos to len(text) and keeps
     # reporting the final empty match, hence the bound.)
-    rx = re.compile(hook.regex)
     at = from_
     while at <= len(text):
-        m = rx.search(text, at)
+        m = hook.regex.search(text, at)
         if m is None:
             return None
         if m.end() > m.start():
@@ -130,8 +106,9 @@ def find_next_match(text: str, from_: int, hooks: list[Hook],
 
 
 def detect_output_block(text: str, at: int,
-                        delims: OutDelims) -> ExistingOutput | None:
-    """Existing output block starting exactly at `at`, or None.
+                        delims: OutDelims) -> str | None:
+    """Text of the existing output block starting exactly at `at`, from its
+    begin marker through its end marker (never empty), or None.
 
     The infix is a maximal run of decimal digits between b1 and b2; the end
     marker must carry the same infix. A begin marker without its end marker
@@ -153,8 +130,7 @@ def detect_output_block(text: str, at: int,
         raise UnterminatedOutputError(
             "output block begin marker has no matching end marker",
             line=ln, col=col)
-    end = k + len(end_marker)
-    return ExistingOutput(text[at:end])
+    return text[at:k + len(end_marker)]
 
 
 def _line_prefix(text: str, start: int, skipped: list[tuple[int, int]],
@@ -229,5 +205,5 @@ def iter_segments(text: str, state: EngineState) -> Iterator[Segment]:
             line_start, skipped = newline + 1, []
         pos = end
         if existing is not None:
-            skipped.append((pos, pos + len(existing.raw)))
-            pos += len(existing.raw)
+            skipped.append((pos, pos + len(existing)))
+            pos += len(existing)

@@ -581,10 +581,10 @@ def _add_regex_hook(state: EngineState, pattern: Value, template: Value) -> str:
     if not p:
         raise EvalError("add_regex_hook() pattern must be non-empty")
     try:
-        hook = Pattern(p, stringify(template))
+        compiled = re.compile(p)
     except (re.error, OverflowError, RecursionError) as exc:
         raise EvalError(f"invalid regex in add_regex_hook(): {exc}") from None
-    state.hooks.append(hook)
+    state.hooks.append(Pattern(compiled, stringify(template)))
     return ""
 
 

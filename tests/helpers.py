@@ -17,7 +17,7 @@ def concat_segments(segments):
         elif isinstance(seg, Snippet):
             parts.append(seg.raw)
             if seg.existing_output is not None:
-                parts.append(seg.existing_output.raw)
+                parts.append(seg.existing_output)
         else:
             parts.append(seg.matched)
     return "".join(parts)

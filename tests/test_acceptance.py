@@ -81,8 +81,7 @@ def test_criterion_03_update_is_idempotent_and_mtime_safe(report, tmp_path):
         assert f.read_text() == goldens.JAVA_UPDATED_TEST
         past = 1_500_000_000
         os.utime(f, (past, past))
-        result = process_file(str(f), STYLES["java"])
-        assert result.changed is False
+        assert process_file(str(f), STYLES["java"]) is False
         assert f.read_text() == goldens.JAVA_UPDATED_TEST
         assert os.stat(f).st_mtime_ns == past * 10**9
         assert write_if_changed(str(f), goldens.JAVA_UPDATED_TEST) is False
@@ -155,7 +154,7 @@ def test_criterion_07_collision_numbering_round_trips(report):
             block = JAVA_DELIMS.begin(infix) + out + JAVA_DELIMS.end(infix)
             found = detect_output_block(block, 0, JAVA_DELIMS)
             assert found is not None
-            assert found.raw == block  # so its inner text and infix are too
+            assert found == block  # so its inner text and infix are too
 
 
 def test_criterion_08_segmentation_is_lossless(report):

@@ -107,6 +107,50 @@ def test_main_replace_writes_target_only(tmp_path):
     assert out.read_text() == "v: x\n\n"
 
 
+def test_main_refuses_an_output_path_that_is_the_input(tmp_path, monkeypatch,
+                                                       capsys):
+    monkeypatch.chdir(tmp_path)
+    source = "<? echo 'x'; !>\n"
+    (tmp_path / "t.txt").write_text(source)
+    (tmp_path / "l.txt").symlink_to("t.txt")
+    before = os.stat("t.txt")
+    for out in ("t.txt", "./t.txt", "l.txt"):
+        assert main(["-replace", f"-o={out}", "t.txt"]) == 1
+        assert capsys.readouterr().err == \
+            f"t.txt:0:0: refusing to write '{out}': it is the input\n"
+    after = os.stat("t.txt")
+    assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+    assert (tmp_path / "t.txt").read_text() == source
+    assert sorted(os.listdir(tmp_path)) == ["l.txt", "t.txt"]
+
+
+def test_main_keeps_crlf_line_endings(tmp_path):
+    f = tmp_path / "t.txt"
+    f.write_bytes(b'<? echo "a"; !>\r\n')
+    assert main([str(f)]) == 0
+    assert f.read_bytes() == b'<? echo "a"; !>#+\r\na#-\r\n\r\n'
+    before = os.stat(f)
+    assert main([str(f)]) == 0
+    after = os.stat(f)
+    assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+    out = tmp_path / "out.txt"
+    assert main(["-replace", f"-o={out}", str(f)]) == 0
+    assert out.read_bytes() == b"a\r\n\r\n"
+    for other in (b'<? echo "a"; !>\r', b'<? echo "a"; !>\r\nx\n'):
+        f.write_bytes(other)  # not all CRLF: byte for byte, with LF fences
+        assert main([str(f)]) == 0
+        assert f.read_bytes() == other.replace(b"!>", b"!>#+\na#-\n")
+
+
+def test_main_delimiter_and_regex_hooks_on_the_same_text_stay_apart(tmp_path):
+    # Equal hooks share one scanner cache entry; these two must not.
+    f = tmp_path / "t.txt"
+    out = tmp_path / "out.txt"
+    f.write_text("<? add_hook('ab', 'x'); add_regex_hook('ab', 'x'); !>\nab x\n")
+    assert main(["-replace", f"-o={out}", str(f)]) == 0
+    assert out.read_text() == "\nx x\n"
+
+
 def test_main_keeps_going_after_a_bad_file(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("x <? broken")

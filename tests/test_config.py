@@ -72,7 +72,7 @@ def test_exec_discards_conf_output(tmp_path):
     _conf(tmp_path, "echo 'noise';")
     f = tmp_path / "f.txt"
     f.write_text("<? read_starfish_conf(); !>")
-    assert process_file(str(f), STYLES["default"]).changed is False
+    assert process_file(str(f), STYLES["default"]) is False
     assert f.read_text() == "<? read_starfish_conf(); !>"
 
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import goldens
 from helpers import concat_segments, make_state
-from textforge import scanner
+from textforge import scanner, scriptlet
 from textforge.core import (
     BeginEnd,
     EngineError,
@@ -65,14 +65,14 @@ def test_find_full_tie_prefers_lower_hook_index():
 
 
 def test_find_pattern_hook_captures():
-    hooks = [Pattern(r"a(b+)(c)?", "$1")]
+    hooks = [Pattern(re.compile(r"a(b+)(c)?"), "$1")]
     _, start, end, captures = find_next_match("xxabbb", 0, hooks)
     assert (start, end) == (2, 6)
     assert captures == ("bbb", "")
 
 
 def test_find_skips_zero_width_pattern_matches():
-    hooks = [Pattern("x*", "$1")]
+    hooks = [Pattern(re.compile("x*"), "$1")]
     assert find_next_match("yyy", 0, hooks) is None
     assert find_next_match("yyxy", 0, hooks)[1:3] == (2, 3)
 
@@ -116,11 +116,12 @@ def _oracle_find(text, from_, hooks):
                 dangling = s if dangling is None else min(dangling, s)
                 continue
             candidates.append((s, ends[0] + len(hook.end) - s, i))
-        else:  # a Pattern whose regex is a plain string
+        else:  # a Pattern whose regex matches a literal string
+            literal = hook.regex.pattern
             starts = [s for s in range(from_, len(text) + 1)
-                      if text.startswith(hook.regex, s)]
+                      if text.startswith(literal, s)]
             if starts:
-                candidates.append((starts[0], len(hook.regex), i))
+                candidates.append((starts[0], len(literal), i))
     best = min(candidates) if candidates else None
     if dangling is not None and (best is None or dangling < best[0]):
         return "error"
@@ -132,7 +133,7 @@ def _oracle_find(text, from_, hooks):
 @given(st.text(alphabet="ab<?!># \n", max_size=30), st.integers(0, 30))
 def test_find_matches_brute_force_oracle(text, from_):
     from_ = min(from_, len(text))
-    hooks = DEFAULT_HOOKS + [Pattern("ab", "")]
+    hooks = DEFAULT_HOOKS + [Pattern(re.compile("ab"), "")]
     try:
         got = find_next_match(text, from_, hooks)
     except UnterminatedSnippetError:
@@ -147,17 +148,17 @@ def test_find_matches_brute_force_oracle(text, from_):
 
 def test_detect_plain_block():
     out = detect_output_block("//+\nX\n//-\nrest", 0, JAVA_DELIMS)
-    assert out.raw == "//+\nX\n//-\n"
+    assert out == "//+\nX\n//-\n"
 
 
 def test_detect_numbered_block_is_maximal_munch():
     out = detect_output_block("//3+\nY//-\n more\n//3-\ntail", 0, JAVA_DELIMS)
-    assert out.raw == "//3+\nY//-\n more\n//3-\n"
+    assert out == "//3+\nY//-\n more\n//3-\n"
 
 
 def test_detect_multidigit_infix():
     out = detect_output_block("#12+\nz#12-\nrest", 0, OutDelims("#", "+\n", "#", "-\n"))
-    assert out.raw == "#12+\nz#12-\n"
+    assert out == "#12+\nz#12-\n"
 
 
 def test_detect_greedy_digits_do_not_backtrack():
@@ -207,7 +208,7 @@ def test_scan_consumes_adjacent_output_block():
     segs = list(iter_segments("x//<? c !>//+\nOLD//-\ny", state))
     snip = segs[1]
     assert snip.existing_output is not None
-    assert snip.existing_output.raw == "//+\nOLD//-\n"
+    assert snip.existing_output == "//+\nOLD//-\n"
     assert segs[2] == Outer("y")
 
 
@@ -219,7 +220,7 @@ def test_scan_updated_java_fixture_recovers_output():
     existing = snippets[2].existing_output
     assert existing is not None
     # the end marker abuts the semicolon, so no newline before it
-    assert existing.raw == '//+\n    System.out.println("Test version");//-\n'
+    assert existing == '//+\n    System.out.println("Test version");//-\n'
 
 
 def test_scan_block_must_touch_end_delimiter():
@@ -267,7 +268,7 @@ def test_scan_picks_up_hooks_added_mid_file():
     state = make_state()
     gen = iter_segments("<? a !> ZZ tail", state)
     assert isinstance(next(gen), Snippet)
-    state.hooks.append(Pattern("ZZ", ""))
+    state.hooks.append(Pattern(re.compile("ZZ"), ""))
     rest = list(gen)
     matches = [s for s in rest if not isinstance(s, (Outer, Snippet))]
     assert len(matches) == 1
@@ -276,7 +277,7 @@ def test_scan_picks_up_hooks_added_mid_file():
 
 def test_scan_pattern_segment():
     state = make_state()
-    state.hooks.append(Pattern(r"v(\d+)", "$1"))
+    state.hooks.append(Pattern(re.compile(r"v(\d+)"), "$1"))
     segs = list(iter_segments("see v42 here", state))
     assert segs[1] == PatternMatch(2, "v42", ("42",))
 
@@ -349,7 +350,7 @@ def test_scan_zero_width_regex_tries_each_position_about_once(monkeypatch):
             tries += 1
             return self.rx.search(text, pos)
 
-    monkeypatch.setattr(scanner, "re", types.SimpleNamespace(compile=CountingRegex))
+    monkeypatch.setattr(scriptlet, "re", types.SimpleNamespace(compile=CountingRegex))
     text = "<? add_regex_hook('q*', 'Q'); !>\n" + "".join(
         f"text{'q' if i % 50 == 0 else ''} <? $v = {i}; !>\n" for i in range(199))
     segs, error = _run_snippets(text, make_state())

@@ -1,4 +1,5 @@
 import os
+import re
 import time
 from datetime import datetime
 
@@ -466,14 +467,15 @@ def test_add_hook_appends_begin_end():
 
 
 def test_add_hook_rejects_empty_delimiter():
-    with pytest.raises(EvalError):
-        run("add_hook('', ']]');")
+    for code in ("add_hook('', ']]');", "add_hook('<?', '');"):
+        with pytest.raises(EvalError):
+            run(code)
 
 
 def test_add_regex_hook_appends_pattern():
     state = make_state()
     run("add_regex_hook('v([0-9]+)', 'version $1');", state)
-    assert state.hooks[-1] == Pattern("v([0-9]+)", "version $1")
+    assert state.hooks[-1] == Pattern(re.compile("v([0-9]+)"), "version $1")
 
 
 def test_add_regex_hook_rejects_bad_or_empty_pattern():
