@@ -54,7 +54,7 @@ def exec_conf_chain(chain: tuple[str, ...], state: EngineState) -> None:
             try:
                 eval_program(parse_scriptlet(source), state)
             except EngineError as exc:
-                exc.file = path
+                exc.locate(path, source)
                 raise
     finally:
         state.base_dir = saved_base

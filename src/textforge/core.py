@@ -4,8 +4,10 @@ The engine walks a text file looking for *hooks* (snippet delimiters or
 regular expressions), evaluates embedded scriptlets against a per-file
 `EngineState`, and either appends their output in place (update) or
 substitutes it for the markup (replace, when an output path is given).
-Scanner and scriptlet errors carry a line and column only; the file is
-filled in by `rewriter.process_file`, or by `config` for a conf's error.
+An `EngineError` carries `at`, an offset into the source that raised it
+(the file text, a snippet's code, `-e` code or a conf). `EngineError.locate`
+is the one place that turns it into a line and column: `rewriter.process_file`
+calls it with the file text or the `-e` code, and `config` with a conf's.
 The hook and delimiter types are plain `namedtuple`s that check nothing;
 the scriptlet builtins that build them from outside input do the checking.
 """
@@ -16,15 +18,30 @@ from collections import namedtuple
 
 
 class EngineError(Exception):
-    """Base for all engine errors; knows how to render a diagnostic."""
+    """Base for all engine errors; knows how to render a diagnostic.
 
-    def __init__(self, message: str, *, file: str | None = None,
-                 line: int = 0, col: int = 0):
+    `at` is the offset of the error in the source that raised it, or None
+    when no place in a source is at fault (the diagnostic then reads
+    FILE:0:0). `file` stays None, and `line` and `col` 0, until `locate`.
+    """
+
+    def __init__(self, message: str, *, at: int | None = None):
         super().__init__(message)
         self.message = message
+        self.at = at
+        self.file: str | None = None
+        self.line = 0
+        self.col = 0
+
+    def locate(self, file: str, source: str) -> None:
+        """Name `file` and turn `at`, an offset into `source`, into a line
+        and column. An error that already names a file (one raised in a
+        conf) keeps it."""
+        if self.file is not None:
+            return
         self.file = file
-        self.line = line
-        self.col = col
+        if self.at is not None:
+            self.line, self.col = line_col(source, self.at)
 
     def diagnostic(self) -> str:
         return f"{self.file or '<input>'}:{self.line}:{self.col}: {self.message}"
@@ -99,7 +116,7 @@ class EngineState:
 
     __slots__ = ("file_path", "hooks", "out_delims", "line_comment",
                  "indent_adjust", "scope", "conf_loaded", "base_dir",
-                 "file_mtime", "listings")
+                 "listings")
 
     def __init__(self, file_path: str, style: Style):
         self.file_path = file_path
@@ -107,7 +124,6 @@ class EngineState:
         self.scope: dict[str, Value] = {}
         self.conf_loaded = False
         self.base_dir = os.path.dirname(os.path.abspath(file_path))
-        self.file_mtime: float | None = None
         self.listings: dict[str, list[str]] = {}
 
     def apply_style(self, style: Style) -> None:

@@ -14,15 +14,7 @@ import re
 import stat
 import tempfile
 
-from .core import (
-    EngineError,
-    EngineState,
-    EvalError,
-    OutDelims,
-    ParseError,
-    Style,
-    line_col,
-)
+from .core import EngineError, EngineState, OutDelims, Style
 from .scanner import Outer, Snippet, iter_segments
 from .scriptlet import eval_program, parse_scriptlet
 
@@ -85,30 +77,19 @@ def _substitute_template(template: str, captures: tuple[str, ...]) -> str:
     return re.sub(r"\$([1-9])", repl, template)
 
 
-def _rebase_error(exc, text: str, seg: Snippet, begin_len: int,
-                  removed: list[int]):
-    """Map a scriptlet error from snippet-relative to file coordinates."""
-    base_line, base_col = line_col(text, seg.offset)
-    rel_line = exc.line or 1
-    rel_col = exc.col or 1
-    if 0 < rel_line <= len(removed):
-        rel_col += removed[rel_line - 1]
-    if rel_line == 1:
-        col = base_col + begin_len + rel_col - 1
-    else:
-        col = rel_col
-    return type(exc)(exc.message, line=base_line + rel_line - 1, col=col)
-
-
-def _eval_snippet(text: str, seg: Snippet, state: EngineState) -> str:
-    hook = state.hooks[seg.hook_index]
+def _eval_snippet(seg: Snippet, state: EngineState) -> str:
+    """Run one snippet. An error's offset into the stripped code becomes its
+    offset into the scanned text; one without an offset points at the start
+    of the code, and one from a conf is left alone."""
     prepared, removed = strip_line_comments(seg.code, state.line_comment)
     try:
         return eval_program(parse_scriptlet(prepared), state)
-    except (ParseError, EvalError) as exc:
-        if exc.file is not None:  # an error inside a conf file
-            raise
-        raise _rebase_error(exc, text, seg, len(hook.begin), removed) from None
+    except EngineError as exc:
+        if exc.file is None:
+            at = exc.at or 0
+            line = prepared.count("\n", 0, at)
+            exc.at = seg.code_offset + at + sum(removed[:line + 1])
+        raise
 
 
 def _render_snippet(parts: list[str], seg: Snippet, out: str,
@@ -153,12 +134,13 @@ def process_file(path: str, style: Style, *, out_path: str | None = None,
     its template, and the input is never touched; an `out_path` that is
     the input itself, by any name, is refused. A file whose every newline
     is CRLF is processed with LF and written with CRLF; any other file is
-    processed byte for byte. This is the one place that names the file in
-    an error: an `EngineError` without a file gets `path`; one from a conf
-    already names the conf.
+    processed byte for byte. Every `EngineError` it raises is located at
+    `path`: its offset is read against the text as processed, or against
+    `init_code` for an error there. One from a conf keeps the conf's name.
     """
     state = EngineState(path, style)
     replace = out_path is not None
+    source = ""  # what the offset of an error points into
     try:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -171,17 +153,17 @@ def process_file(path: str, style: Style, *, out_path: str | None = None,
         crlf = "\r" in text and 0 < text.count("\r\n") == text.count("\n")
         if crlf:
             text = text.replace("\r\n", "\n")
-        state.file_mtime = st.st_mtime
         if init_code:
+            source = init_code
             eval_program(parse_scriptlet(init_code), state)
+        source = text
 
         parts: list[str] = []
         for seg in iter_segments(text, state):
             if isinstance(seg, Outer):
                 parts.append(seg.text)
             elif isinstance(seg, Snippet):
-                _render_snippet(parts, seg, _eval_snippet(text, seg, state),
-                                replace)
+                _render_snippet(parts, seg, _eval_snippet(seg, state), replace)
             elif not replace:  # a regex-hook match stays as is
                 parts.append(seg.matched)
             else:
@@ -195,8 +177,7 @@ def process_file(path: str, style: Style, *, out_path: str | None = None,
             return write_if_changed(out_path, new_text)
         return write_if_changed(path, new_text, data, st)
     except EngineError as exc:
-        if exc.file is None:
-            exc.file = path
+        exc.locate(path, source)
         raise
 
 

@@ -19,7 +19,6 @@ from .core import (
     OutDelims,
     UnterminatedOutputError,
     UnterminatedSnippetError,
-    line_col,
 )
 
 
@@ -27,14 +26,15 @@ from .core import (
 Outer = namedtuple("Outer", "text")
 
 # One begin/end-delimited scriptlet occurrence. raw spans begin through end
-# delimiter inclusive; code is the text between them. indent is the leading
+# delimiter inclusive; code is the text between them, and code_offset where
+# that text starts in the scanned text. indent is the leading
 # whitespace of the source line holding the begin delimiter and line_prefix
 # everything on that line before the delimiter (see `iter_segments`).
 # existing_output is the text of the output block that follows the snippet,
 # or None. out_delims/indent_adjust record the values in effect when the
 # snippet was scanned, so later retargeting cannot re-wrap earlier output.
-Snippet = namedtuple("Snippet", "raw code hook_index indent line_prefix "
-                     "existing_output out_delims indent_adjust offset")
+Snippet = namedtuple("Snippet", "raw code code_offset indent line_prefix "
+                     "existing_output out_delims indent_adjust")
 
 # Text matched by a regex hook, with its capture groups.
 PatternMatch = namedtuple("PatternMatch", "hook_index matched captures")
@@ -99,9 +99,8 @@ def find_next_match(text: str, from_: int, hooks: list[Hook],
             best = (i, start, end, captures)
 
     if dangling is not None and (best is None or dangling < best[1]):
-        ln, col = line_col(text, dangling)
         raise UnterminatedSnippetError(
-            "snippet begin delimiter is never terminated", line=ln, col=col)
+            "snippet begin delimiter is never terminated", at=dangling)
     return best
 
 
@@ -126,10 +125,8 @@ def detect_output_block(text: str, at: int,
     end_marker = delims.end(infix)
     k = text.find(end_marker, j + len(delims.b2))
     if k < 0:
-        ln, col = line_col(text, at)
         raise UnterminatedOutputError(
-            "output block begin marker has no matching end marker",
-            line=ln, col=col)
+            "output block begin marker has no matching end marker", at=at)
     return text[at:k + len(end_marker)]
 
 
@@ -187,16 +184,16 @@ def iter_segments(text: str, state: EngineState) -> Iterator[Segment]:
             indent, prefix = _line_prefix(text, line_start, skipped, start)
             delims = state.out_delims
             existing = detect_output_block(text, end, delims)
+            code_offset = start + len(hook.begin)
             yield Snippet(
                 raw=text[start:end],
-                code=text[start + len(hook.begin):end - len(hook.end)],
-                hook_index=index,
+                code=text[code_offset:end - len(hook.end)],
+                code_offset=code_offset,
                 indent=indent,
                 line_prefix=prefix,
                 existing_output=existing,
                 out_delims=delims,
                 indent_adjust=state.indent_adjust,
-                offset=start,
             )
         else:
             yield PatternMatch(index, text[start:end], captures)

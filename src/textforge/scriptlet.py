@@ -41,7 +41,6 @@ from .core import (
     ParseError,
     Pattern,
     Value,
-    line_col,
 )
 from .styles import STYLES
 
@@ -52,13 +51,12 @@ _DQ_ESCAPES = {"n": "\n", "t": "\t", "\\": "\\", '"': '"', "$": "$"}
 
 
 class Token:
-    __slots__ = ("kind", "value", "line", "col")
+    __slots__ = ("kind", "value", "at")
 
-    def __init__(self, kind: str, value: str, line: int, col: int):
+    def __init__(self, kind: str, value: str, at: int):
         self.kind = kind  # ident | var | int | str | op | eof
         self.value = value
-        self.line = line
-        self.col = col
+        self.at = at  # offset of the token's first character in the source
 
 
 def tokenize(source: str) -> list[Token]:
@@ -66,12 +64,6 @@ def tokenize(source: str) -> list[Token]:
     tokens: list[Token] = []
     i = 0
     n = len(source)
-    line, line_start, seen = 1, 0, 0  # line number and start at offset seen
-
-    def fail(message: str, at: int) -> ParseError:
-        ln, col = line_col(source, at)
-        return ParseError(message, line=ln, col=col)
-
     while True:
         while i < n:
             ch = source[i]
@@ -88,7 +80,7 @@ def tokenize(source: str) -> list[Token]:
         elif ch == '"' and source.startswith('"""', i):
             end = source.find('"""', i + 3)
             if end < 0:
-                raise fail("unterminated triple-quoted string", i)
+                raise ParseError("unterminated triple-quoted string", at=i)
             value = source[i + 3:end]
             if value.startswith("\n"):
                 value = value[1:]
@@ -98,17 +90,17 @@ def tokenize(source: str) -> list[Token]:
             parts: list[str] = []
             while True:
                 if i >= n:
-                    raise fail("unterminated string", start)
+                    raise ParseError("unterminated string", at=start)
                 c = source[i]
                 if c == '"':
                     i += 1
                     break
                 if c == "\\":
                     if i + 1 >= n:
-                        raise fail("unterminated string", start)
+                        raise ParseError("unterminated string", at=start)
                     esc = source[i + 1]
                     if esc not in _DQ_ESCAPES:
-                        raise fail(f"unknown escape '\\{esc}' in string", i)
+                        raise ParseError(f"unknown escape '\\{esc}' in string", at=i)
                     parts.append(_DQ_ESCAPES[esc])
                     i += 2
                     continue
@@ -120,7 +112,7 @@ def tokenize(source: str) -> list[Token]:
             parts = []
             while True:
                 if i >= n:
-                    raise fail("unterminated string", start)
+                    raise ParseError("unterminated string", at=start)
                 c = source[i]
                 if c == "'":
                     i += 1
@@ -136,7 +128,7 @@ def tokenize(source: str) -> list[Token]:
             # A name starts with a letter or "_"; a variable is "$" and a name.
             first = i + 1 if ch == "$" else i
             if first >= n or not (source[first].isalpha() or source[first] == "_"):
-                raise fail("'$' must be followed by a variable name", i)
+                raise ParseError("'$' must be followed by a variable name", at=i)
             j = first + 1
             while j < n and ((c := source[j]).isalnum() or c == "_"):
                 j += 1
@@ -154,15 +146,8 @@ def tokenize(source: str) -> list[Token]:
             kind, value = "op", ch
             i += 1
         else:
-            raise fail(f"unexpected character {ch!r}", i)
-
-        # Tokens come in source order, so count newlines from the last one.
-        newline = source.rfind("\n", seen, start)
-        if newline >= 0:
-            line += source.count("\n", seen, newline + 1)
-            line_start = newline + 1
-        seen = start
-        tokens.append(Token(kind, value, line, start - line_start + 1))
+            raise ParseError(f"unexpected character {ch!r}", at=i)
+        tokens.append(Token(kind, value, start))
         if kind == "eof":
             return tokens
 
@@ -214,7 +199,7 @@ class _Parser:
 
     def fail(self, message: str, tok: Token | None = None) -> ParseError:
         t = tok or self.t
-        return ParseError(message, line=t.line, col=t.col)
+        return ParseError(message, at=t.at)
 
     def expect_op(self, op: str) -> Token:
         t = self.t
@@ -261,7 +246,7 @@ class _Parser:
                 self.advance()
                 args.append(self.expression())
             self.expect_op(";")
-            return _echo(tuple(args), t)
+            return _echo(tuple(args), t.at)
         elif t.kind == "ident" and t.value == "if":
             self.advance()
             self.expect_op("(")
@@ -286,7 +271,7 @@ class _Parser:
                 raise self.fail("expected 'in' in for statement")
             self.advance()
             items = self.expression()
-            return _loop(t, var, items, self.block())
+            return _loop(t.at, var, items, self.block())
         expr = self.expression()
         self.expect_op(";")
         return expr
@@ -349,7 +334,7 @@ class _Parser:
         first = self.primary()
         if not self.at_op("."):
             return first
-        at = self.t
+        at = self.t.at
         parts = [first]
         while self.at_op("."):
             self.advance()
@@ -360,7 +345,7 @@ class _Parser:
             texts = [stringify(part(run)) for part in parts]
             if sum(map(len, texts)) > MAX_STRING:
                 raise EvalError(f"string longer than {MAX_STRING} characters",
-                                line=at.line, col=at.col)
+                                at=at)
             return "".join(texts)
         return concat
 
@@ -417,7 +402,7 @@ def _assign(name: str, expr):
     return assign_out
 
 
-def _echo(args: tuple, at: Token):
+def _echo(args: tuple, at: int):
     def echo(run):
         out, size = run.out, run.out_len
         for arg in args:
@@ -426,24 +411,24 @@ def _echo(args: tuple, at: Token):
             size += len(text)
             if size > MAX_STRING:
                 raise EvalError(f"output longer than {MAX_STRING} characters",
-                                line=at.line, col=at.col)
+                                at=at)
             out.append(text)
         run.out_len = size
     return echo
 
 
-def _loop(at: Token, var: Token, items, body):
+def _loop(at: int, var: Token, items, body):
     name = var.value
 
     def loop(run):
         seq = items(run)
         if not isinstance(seq, list):
             raise EvalError("for statement needs a list to iterate",
-                            line=var.line, col=var.col)
+                            at=var.at)
         run.loops += len(seq)
         if run.loops > MAX_LOOP_ITERATIONS:
             raise EvalError(f"more than {MAX_LOOP_ITERATIONS} loop iterations",
-                            line=at.line, col=at.col)
+                            at=at)
         scope = run.scope
         for item in seq:
             scope[name] = item
@@ -452,7 +437,7 @@ def _loop(at: Token, var: Token, items, body):
 
 
 def _variable(t: Token):
-    name = t.value
+    name, at = t.value, t.at
     if name == "O":
         return _Run.read_out
 
@@ -460,14 +445,13 @@ def _variable(t: Token):
         try:
             return run.scope[name]
         except KeyError:
-            raise EvalError(f"undefined variable ${name}",
-                            line=t.line, col=t.col) from None
+            raise EvalError(f"undefined variable ${name}", at=at) from None
     return variable
 
 
 def _call(t: Token, args: tuple):
     """A builtin call. Unknown names and bad arity fail only when run."""
-    name = t.value
+    name, at = t.value, t.at
     entry = BUILTINS.get(name)
     if entry is None:
         message = f"unknown function '{name}'"
@@ -481,13 +465,13 @@ def _call(t: Token, args: tuple):
             try:
                 return fn(run.state, *values)
             except EvalError as exc:
-                if not exc.line:
-                    raise EvalError(exc.message, line=t.line, col=t.col) from None
+                if exc.at is None:  # a builtin's error is the call's
+                    exc.at = at
                 raise
         return call
 
     def bad_call(run):
-        raise EvalError(message, line=t.line, col=t.col)
+        raise EvalError(message, at=at)
     return bad_call
 
 
@@ -545,10 +529,7 @@ def _htmlquote(state: EngineState, value: Value) -> str:
 
 
 def _file_modification_date(state: EngineState) -> str:
-    ts = state.file_mtime
-    if ts is None:
-        ts = os.stat(state.file_path).st_mtime
-    when = time.localtime(ts)
+    when = time.localtime(os.stat(state.file_path).st_mtime)
     return f"{_MONTHS[when.tm_mon - 1]} {when.tm_mday}, {when.tm_year}"
 
 
@@ -593,6 +574,9 @@ def _set_out_delimiters(state: EngineState, b1: Value, b2: Value,
     parts = [stringify(x) for x in (b1, b2, e1, e2)]
     if not all(parts):
         raise EvalError("set_out_delimiters() needs four non-empty strings")
+    # The scanner reads the digits after b1 as the fence number.
+    if "0" <= parts[1][0] <= "9":
+        raise EvalError("set_out_delimiters() b2 may not start with a digit")
     state.out_delims = OutDelims(*parts)
     return ""
 

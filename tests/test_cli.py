@@ -233,6 +233,18 @@ def test_main_reports_scriptlet_error_position(tmp_path, capsys):
     assert f"{f}:2:13: undefined variable $nope" in capsys.readouterr().err
 
 
+def test_main_rejects_a_fence_b2_starting_with_a_digit(tmp_path, capsys):
+    # Read as the fence number, the "1" would hide the block from every
+    # rerun, and each run would add one more.
+    f = tmp_path / "t.txt"
+    source = "x\n<? set_out_delimiters('<', '1>', '</', '2>'); !>\n<? echo 'a'; !>\n"
+    f.write_text(source)
+    assert main([str(f)]) == 1
+    assert capsys.readouterr().err == \
+        f"{f}:2:4: set_out_delimiters() b2 may not start with a digit\n"
+    assert f.read_text() == source
+
+
 def test_main_reports_deep_nesting_without_a_traceback(tmp_path, capsys):
     f = tmp_path / "deep.txt"
     source = "x\n<? echo " + "(" * 3000 + "'a'" + ")" * 3000 + "; !>\n"

@@ -14,7 +14,11 @@ from textforge.styles import STYLES
 
 
 def test_engine_error_diagnostic():
-    err = EngineError("boom", file="a.txt", line=3, col=7)
+    source = "a\nb\n      boom"
+    err = EngineError("boom", at=source.index("boom"))
+    err.locate("a.txt", source)
+    assert err.diagnostic() == "a.txt:3:7: boom"
+    err.locate("b.txt", "")  # a located error keeps its place
     assert err.diagnostic() == "a.txt:3:7: boom"
 
 

@@ -13,6 +13,7 @@ from textforge.core import (
     ParseError,
     UnterminatedOutputError,
     UnterminatedSnippetError,
+    line_col,
 )
 from textforge.rewriter import (
     choose_infix,
@@ -308,6 +309,53 @@ def test_process_leaves_a_conf_error_naming_the_conf(tmp_path):
     assert (exc.value.line, exc.value.col) == (2, 6)
 
 
+@st.composite
+def _documents_with_an_error(draw):
+    """A style, a document with one snippet whose code holds `$nope` or an
+    unterminated string on its first or a later line, and that marker. The
+    snippet's begin delimiter sits after outer text or indentation; later
+    lines are indented and may carry the style's line comment; in half of
+    the documents every newline is CRLF."""
+    style = STYLES[draw(st.sampled_from(sorted(STYLES)))]
+    begin, end = draw(st.sampled_from(style.hooks))
+    marker, bad = draw(st.sampled_from([("$nope", "echo $nope;"),
+                                        ("'nope", "echo 'nope")]))
+    lines = [draw(st.sampled_from(["", "$v = 1;", "echo 1;  "]))
+             for _ in range(draw(st.integers(1, 4)))]
+    lines[draw(st.integers(0, len(lines) - 1))] = bad
+    if marker == "'nope":  # nothing may close the string
+        lines = lines[:lines.index(bad) + 1]
+    indent = draw(st.sampled_from(["", "  ", "\t"]))
+    lead = draw(st.sampled_from(["", "ab ", "a\tb"]))
+    code = f" {lines[0]}"
+    for line in lines[1:]:
+        comment = style.line_comment if draw(st.booleans()) else None
+        gap = draw(st.sampled_from(["", " ", "   "]))
+        code += f"\n{indent}{comment or ''}{gap}{line}"
+    document = (draw(st.text(alphabet="ab \n", max_size=8)) + f"\n{indent}{lead}"
+                f"{begin}{code} {end}\n" + draw(st.text(alphabet="ab \n", max_size=8)))
+    if draw(st.booleans()):
+        document = document.replace("\n", "\r\n")
+    return style, document, marker
+
+
+@settings(deadline=None)
+@given(_documents_with_an_error())
+def test_process_reports_the_file_position_of_a_snippet_error(case):
+    style, document, marker = case
+    with tempfile.TemporaryDirectory() as tmp:
+        f = os.path.join(tmp, "doc.txt")
+        with open(f, "w") as fh:
+            fh.write(document)
+        with pytest.raises((EvalError, ParseError)) as exc:
+            process_file(f, style)
+        assert exc.value.file == f
+        assert (exc.value.line, exc.value.col) == \
+            line_col(document, document.index(marker))
+        with open(f, newline="") as fh:
+            assert fh.read() == document
+
+
 def test_process_scan_error_leaves_file_untouched(tmp_path):
     f = tmp_path / "doc.txt"
     f.write_text("x <? broken")
@@ -429,6 +477,7 @@ _SNIPPET_CODE = st.sampled_from([
     "add_hook('[[', ']]');",
     "set_out_delimiters('[', '+', ']', '-');",
     "set_out_delimiters('#', '+\\n', '#', '-\\n');",
+    "set_out_delimiters('<', '1>', '</', '2>');",  # "1" would read as a fence number
     "set_style('python');",
     "set_style('java');",
     "set_style('html');",
@@ -509,3 +558,38 @@ def test_update_is_a_fixpoint_and_commutes_with_replace(styled_document):
         if "\r\n" in document:  # no bare LF may be written
             for written in (updated, replaced):
                 assert written.count(b"\n") == written.count(b"\r\n")
+
+        # Through a symlink: the same bytes land in the target, the link
+        # stays a link, and a rerun writes nothing.
+        target = os.path.join(tmp, "target.txt")
+        link = os.path.join(tmp, "link.txt")
+        with open(target, "w") as fh:
+            fh.write(document)
+        os.symlink("target.txt", link)
+        process_file(link, style)
+        assert read(target) == updated
+        assert os.path.islink(link)
+        os.utime(target, (past, past))
+        before = os.stat(target)
+        assert process_file(link, style) is False
+        after = os.stat(target)
+        assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+
+        # Through a hardlink: refused, or nothing to write; neither name
+        # changes.
+        h1, h2 = os.path.join(tmp, "h1.txt"), os.path.join(tmp, "h2.txt")
+        with open(h1, "w") as fh:
+            fh.write(document)
+        os.link(h1, h2)
+        os.utime(h1, (past, past))
+        before = os.stat(h1)
+        try:
+            assert process_file(h1, style) is False
+        except EngineError as exc:
+            assert exc.diagnostic() == \
+                f"{h1}:0:0: refusing to replace '{h1}': it has 2 hard links"
+        for name in (h1, h2):
+            after = os.stat(name)
+            assert (after.st_ino, after.st_nlink, after.st_mtime_ns) == \
+                (before.st_ino, 2, before.st_mtime_ns)
+            assert read(name) == document.encode()

@@ -15,6 +15,7 @@ from textforge.core import (
     Pattern,
     UnterminatedOutputError,
     UnterminatedSnippetError,
+    line_col,
 )
 from textforge.scanner import (
     Outer,
@@ -80,8 +81,7 @@ def test_find_skips_zero_width_pattern_matches():
 def test_find_dangling_begin_is_an_error():
     with pytest.raises(UnterminatedSnippetError) as exc:
         find_next_match("a <? x", 0, DEFAULT_HOOKS)
-    assert exc.value.line == 1
-    assert exc.value.col == 3
+    assert line_col("a <? x", exc.value.at) == (1, 3)
 
 
 def test_find_dangling_after_complete_match_is_fine():
@@ -176,7 +176,7 @@ def test_detect_absent():
 def test_detect_unterminated_block():
     with pytest.raises(UnterminatedOutputError) as exc:
         detect_output_block("//+\nX no end", 0, JAVA_DELIMS)
-    assert (exc.value.line, exc.value.col) == (1, 1)
+    assert line_col("//+\nX no end", exc.value.at) == (1, 1)
 
 
 def test_detect_infix_mismatch_is_unterminated():
@@ -199,7 +199,7 @@ def test_scan_basic_segments():
     assert isinstance(segs[1], Snippet)
     assert segs[1].raw == "//<? echo 1; !>"
     assert segs[1].code == " echo 1; "
-    assert segs[1].hook_index == 0
+    assert segs[1].code_offset == 5
     assert segs[2] == Outer("b")
 
 
@@ -286,7 +286,7 @@ def test_scan_propagates_unterminated_output_position():
     state = make_state()
     with pytest.raises(UnterminatedOutputError) as exc:
         list(iter_segments("<? x !>#+\nno end", state))
-    assert (exc.value.line, exc.value.col) == (1, 8)
+    assert line_col("<? x !>#+\nno end", exc.value.at) == (1, 8)
 
 
 def test_scan_is_deterministic():
@@ -318,7 +318,7 @@ def _run_snippets(text, state):
             if isinstance(seg, Snippet):
                 eval_program(parse_scriptlet(seg.code), state)
     except EngineError as exc:
-        return segs, (type(exc), exc.line, exc.col, exc.message)
+        return segs, (type(exc), exc.at, exc.message)
     return segs, None
 
 
