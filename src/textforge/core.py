@@ -111,12 +111,13 @@ class EngineState:
     `indent_adjust` mid-file; mutations affect all subsequent scanning.
     `base_dir` is where `glob()` looks: the file's directory, or a conf's
     while that conf runs. `listings` maps each directory `glob()` has read
-    to its sorted entries.
+    to its sorted entries, and `globs` each `(directory, pattern)` it has
+    matched to the matching names.
     """
 
     __slots__ = ("file_path", "hooks", "out_delims", "line_comment",
                  "indent_adjust", "scope", "conf_loaded", "base_dir",
-                 "listings")
+                 "listings", "globs")
 
     def __init__(self, file_path: str, style: Style):
         self.file_path = file_path
@@ -125,6 +126,7 @@ class EngineState:
         self.conf_loaded = False
         self.base_dir = os.path.dirname(os.path.abspath(file_path))
         self.listings: dict[str, list[str]] = {}
+        self.globs: dict[tuple[str, str], list[str]] = {}
 
     def apply_style(self, style: Style) -> None:
         """Take over the style's settings; `style` itself is never mutated."""

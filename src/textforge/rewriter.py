@@ -12,7 +12,6 @@ from __future__ import annotations
 import os
 import re
 import stat
-import tempfile
 
 from .core import EngineError, EngineState, OutDelims, Style
 from .scanner import Outer, Snippet, iter_segments
@@ -47,11 +46,16 @@ def choose_infix(output: str, delims: OutDelims) -> str:
     """Smallest digit infix whose markers cannot be mistaken for output text.
 
     Markers are compared without their trailing newlines, so an output line
-    that merely *ends* like a marker still forces a numbered infix.
+    that merely *ends* like a marker still forces a numbered infix. The end
+    marker also clashes when it overlaps itself across the output's tail:
+    the scanner takes the first end marker after the begin marker, which
+    must be the one appended after the output.
     """
     def clashes(infix: str) -> bool:
+        end = delims.end(infix)
         return (delims.begin(infix).rstrip("\n") in output
-                or delims.end(infix).rstrip("\n") in output)
+                or end.rstrip("\n") in output
+                or (output + end).find(end) < len(output))
 
     if not clashes(""):
         return ""
@@ -213,10 +217,19 @@ def write_if_changed(path: str, text: str, current: bytes | None = None,
     mode = None if current_stat is None else stat.S_IMODE(current_stat.st_mode)
 
     target = os.path.realpath(path)
+    # A new file only its owner can read; on Windows, with no newline
+    # translation.
+    flags = os.O_CREAT | os.O_EXCL | os.O_WRONLY | getattr(os, "O_BINARY", 0)
     tmp = None
     try:
-        fd, tmp = tempfile.mkstemp(prefix=".textforge-",
-                                   dir=os.path.dirname(target))
+        while tmp is None:
+            name = os.path.join(os.path.dirname(target),
+                                ".textforge-" + os.urandom(6).hex())
+            try:
+                fd = os.open(name, flags, 0o600)
+            except FileExistsError:
+                continue
+            tmp = name
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
         if mode is None:

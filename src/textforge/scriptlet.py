@@ -50,18 +50,11 @@ _ONE_CHAR_OPS = "=<>?:.,;(){}"
 _DQ_ESCAPES = {"n": "\n", "t": "\t", "\\": "\\", '"': '"', "$": "$"}
 
 
-class Token:
-    __slots__ = ("kind", "value", "at")
-
-    def __init__(self, kind: str, value: str, at: int):
-        self.kind = kind  # ident | var | int | str | op | eof
-        self.value = value
-        self.at = at  # offset of the token's first character in the source
-
-
-def tokenize(source: str) -> list[Token]:
-    """Lex scriptlet source; raises ParseError on malformed input."""
-    tokens: list[Token] = []
+def tokenize(source: str) -> list[tuple[str, str, int]]:
+    """Lex scriptlet source into `(kind, value, at)` tuples, where kind is
+    ident, var, int, str, op or eof and `at` is the offset of the token's
+    first character; raises ParseError on malformed input."""
+    tokens: list[tuple[str, str, int]] = []
     i = 0
     n = len(source)
     while True:
@@ -147,7 +140,7 @@ def tokenize(source: str) -> list[Token]:
             i += 1
         else:
             raise ParseError(f"unexpected character {ch!r}", at=i)
-        tokens.append(Token(kind, value, start))
+        tokens.append((kind, value, start))
         if kind == "eof":
             return tokens
 
@@ -184,70 +177,66 @@ class _Run:
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token]):
+    def __init__(self, tokens: list[tuple[str, str, int]]):
         self.tokens = tokens
         self.pos = 0
         self.t = tokens[0]  # the current token; the last one is eof
         self.depth = 0
 
-    def advance(self) -> Token:
+    def advance(self) -> tuple[str, str, int]:
         t = self.t
-        if t.kind != "eof":
+        if t[0] != "eof":
             self.pos += 1
             self.t = self.tokens[self.pos]
         return t
 
-    def fail(self, message: str, tok: Token | None = None) -> ParseError:
-        t = tok or self.t
-        return ParseError(message, at=t.at)
-
-    def expect_op(self, op: str) -> Token:
-        t = self.t
-        if t.kind != "op" or t.value != op:
-            got = t.value or t.kind
-            raise self.fail(f"expected '{op}', got {got!r}", t)
+    def expect_op(self, op: str) -> tuple[str, str, int]:
+        kind, value, at = self.t
+        if value != op or kind != "op":
+            raise ParseError(f"expected '{op}', got {value or kind!r}", at=at)
         return self.advance()
 
     def at_op(self, op: str) -> bool:
-        return self.t.kind == "op" and self.t.value == op
+        return self.t[1] == op and self.t[0] == "op"
 
     def at_keyword(self, word: str) -> bool:
-        return self.t.kind == "ident" and self.t.value == word
+        return self.t[1] == word and self.t[0] == "ident"
 
     def nest(self) -> None:
         """Enter one nesting level; the caller leaves it by decrementing
         `depth` on success (a ParseError ends the whole parse)."""
         self.depth += 1
         if self.depth > MAX_NESTING:
-            raise self.fail(f"nesting deeper than {MAX_NESTING} levels")
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels",
+                             at=self.t[2])
 
     # statements
 
     def program(self) -> tuple:
         stmts = []
-        while self.t.kind != "eof":
+        while self.t[0] != "eof":
             stmts.append(self.statement())
         return tuple(stmts)
 
     def statement(self):
-        t = self.t
-        if t.kind == "var":
+        kind, value, at = self.t
+        if kind == "var":
             after = self.tokens[self.pos + 1]  # exists: t is not eof
-            if after.kind == "op" and after.value == "=":
+            if after[1] == "=" and after[0] == "op":
                 self.advance()
                 self.advance()
                 expr = self.expression()
                 self.expect_op(";")
-                return _assign(t.value, expr)
-        elif t.kind == "ident" and t.value == "echo":
+                return _assign(value, expr)
+        elif kind == "ident" and value == "echo":
             self.advance()
             args = [self.expression()]
             while self.at_op(","):
                 self.advance()
                 args.append(self.expression())
             self.expect_op(";")
-            return _echo(tuple(args), t.at)
-        elif t.kind == "ident" and t.value == "if":
+            return _echo(args, at)
+        elif kind == "ident" and value == "if":
             self.advance()
             self.expect_op("(")
             cond = self.expression()
@@ -261,17 +250,16 @@ class _Parser:
             def if_(run):
                 (then if truthy(cond(run)) else other)(run)
             return if_
-        elif t.kind == "ident" and t.value == "for":
+        elif kind == "ident" and value == "for":
             self.advance()
-            var = self.t
-            if var.kind != "var":
-                raise self.fail("expected a loop variable after 'for'", var)
-            self.advance()
+            var_kind, name, var_at = self.advance()
+            if var_kind != "var":
+                raise ParseError("expected a loop variable after 'for'", at=var_at)
             if not self.at_keyword("in"):
-                raise self.fail("expected 'in' in for statement")
+                raise ParseError("expected 'in' in for statement", at=self.t[2])
             self.advance()
             items = self.expression()
-            return _loop(t.at, var, items, self.block())
+            return _loop(at, name, var_at, items, self.block())
         expr = self.expression()
         self.expect_op(";")
         return expr
@@ -281,8 +269,8 @@ class _Parser:
         self.expect_op("{")
         stmts = []
         while not self.at_op("}"):
-            if self.t.kind == "eof":
-                raise self.fail("unterminated block: missing '}'")
+            if self.t[0] == "eof":
+                raise ParseError("unterminated block: missing '}'", at=self.t[2])
             stmts.append(self.statement())
         self.advance()
         self.depth -= 1
@@ -312,16 +300,16 @@ class _Parser:
 
     def comparison(self):
         left = self.concat()
-        t = self.t
-        if t.kind != "op" or t.value not in ("==", "!=", "<", ">"):
+        kind, op, _ = self.t
+        if kind != "op" or op not in ("==", "!=", "<", ">"):
             return left
         self.advance()
         right = self.concat()
-        if t.value == "==":
+        if op == "==":
             return lambda run: stringify(left(run)) == stringify(right(run))
-        if t.value == "!=":
+        if op == "!=":
             return lambda run: stringify(left(run)) != stringify(right(run))
-        less = t.value == "<"
+        less = op == "<"
 
         def order(run):
             a, b = left(run), right(run)
@@ -334,7 +322,7 @@ class _Parser:
         first = self.primary()
         if not self.at_op("."):
             return first
-        at = self.t.at
+        at = self.t[2]
         parts = [first]
         while self.at_op("."):
             self.advance()
@@ -350,22 +338,20 @@ class _Parser:
         return concat
 
     def primary(self):
-        t = self.advance()
-        if t.kind == "str":
-            value = t.value
-            return lambda run: value
-        if t.kind == "int":
+        kind, value, at = self.advance()
+        if kind == "str":
+            return _literal(value)
+        if kind == "int":
             try:
-                number = int(t.value)
+                return _literal(int(value))
             except ValueError:  # beyond int()'s limit on digits
-                raise self.fail(f"integer literal too long ({len(t.value)} digits)",
-                                t) from None
-            return lambda run: number
-        if t.kind == "var":
-            return _variable(t)
-        if t.kind == "ident":
-            if t.value in KEYWORDS:
-                raise self.fail(f"unexpected keyword '{t.value}'", t)
+                raise ParseError(f"integer literal too long ({len(value)} digits)",
+                                 at=at) from None
+        if kind == "var":
+            return _variable(value, at)
+        if kind == "ident":
+            if value in KEYWORDS:
+                raise ParseError(f"unexpected keyword '{value}'", at=at)
             self.expect_op("(")
             args = []
             if not self.at_op(")"):
@@ -374,19 +360,25 @@ class _Parser:
                     self.advance()
                     args.append(self.expression())
             self.expect_op(")")
-            return _call(t, tuple(args))
-        if t.kind == "op" and t.value == "(":
+            return _call(value, at, tuple(args))
+        if kind == "op" and value == "(":
             expr = self.expression()
             self.expect_op(")")
             return expr
-        got = t.value or t.kind
-        raise self.fail(f"expected an expression, got {got!r}", t)
+        raise ParseError(f"expected an expression, got {value or kind!r}", at=at)
 
 
 # --- closures the parser compiles to -----------------------------------
 
 def _nothing(run: _Run) -> None:
     pass
+
+
+def _literal(value: str | int):
+    def literal(run):
+        return value
+    literal.text = stringify(value)  # what echo appends, converted once
+    return literal
 
 
 def _assign(name: str, expr):
@@ -402,29 +394,31 @@ def _assign(name: str, expr):
     return assign_out
 
 
-def _echo(args: tuple, at: int):
+def _echo(args: list, at: int):
+    # A literal argument is its text; anything else is a closure.
+    args = tuple(getattr(arg, "text", arg) for arg in args)
+
     def echo(run):
         out, size = run.out, run.out_len
         for arg in args:
-            value = arg(run)
-            text = value if type(value) is str else stringify(value)
-            size += len(text)
+            if type(arg) is not str:
+                arg = arg(run)
+                if type(arg) is not str:
+                    arg = stringify(arg)
+            size += len(arg)
             if size > MAX_STRING:
                 raise EvalError(f"output longer than {MAX_STRING} characters",
                                 at=at)
-            out.append(text)
+            out.append(arg)
         run.out_len = size
     return echo
 
 
-def _loop(at: int, var: Token, items, body):
-    name = var.value
-
+def _loop(at: int, name: str, var_at: int, items, body):
     def loop(run):
         seq = items(run)
         if not isinstance(seq, list):
-            raise EvalError("for statement needs a list to iterate",
-                            at=var.at)
+            raise EvalError("for statement needs a list to iterate", at=var_at)
         run.loops += len(seq)
         if run.loops > MAX_LOOP_ITERATIONS:
             raise EvalError(f"more than {MAX_LOOP_ITERATIONS} loop iterations",
@@ -436,8 +430,7 @@ def _loop(at: int, var: Token, items, body):
     return loop
 
 
-def _variable(t: Token):
-    name, at = t.value, t.at
+def _variable(name: str, at: int):
     if name == "O":
         return _Run.read_out
 
@@ -449,14 +442,35 @@ def _variable(t: Token):
     return variable
 
 
-def _call(t: Token, args: tuple):
-    """A builtin call. Unknown names and bad arity fail only when run."""
-    name, at = t.value, t.at
+def _call(name: str, at: int, args: tuple):
+    """A builtin call. Unknown names and bad arity fail only when run. The
+    arguments are evaluated left to right before the builtin runs, and an
+    EvalError it raises with no offset takes the call's."""
     entry = BUILTINS.get(name)
     if entry is None:
         message = f"unknown function '{name}'"
     elif len(args) != entry[0]:
         message = f"{name}() takes {entry[0]} argument(s), got {len(args)}"
+    elif len(args) == 1:
+        fn, (a,) = entry[1], args
+
+        def call(run):
+            x = a(run)
+            try:
+                return fn(run.state, x)
+            except EvalError as exc:
+                raise _blame(exc, at)
+        return call
+    elif len(args) == 2:
+        fn, (a, b) = entry[1], args
+
+        def call(run):
+            x, y = a(run), b(run)
+            try:
+                return fn(run.state, x, y)
+            except EvalError as exc:
+                raise _blame(exc, at)
+        return call
     else:
         fn = entry[1]
 
@@ -465,14 +479,18 @@ def _call(t: Token, args: tuple):
             try:
                 return fn(run.state, *values)
             except EvalError as exc:
-                if exc.at is None:  # a builtin's error is the call's
-                    exc.at = at
-                raise
+                raise _blame(exc, at)
         return call
 
     def bad_call(run):
         raise EvalError(message, at=at)
     return bad_call
+
+
+def _blame(exc: EvalError, at: int) -> EvalError:
+    if exc.at is None:  # a builtin's error is the call's
+        exc.at = at
+    return exc
 
 
 def parse_scriptlet(source: str) -> tuple:
@@ -485,10 +503,10 @@ def parse_scriptlet(source: str) -> tuple:
 
 def stringify(value: Value) -> str:
     """Render a value the way echo and concatenation see it."""
+    if type(value) is str:
+        return value
     if isinstance(value, bool):
         return "1" if value else ""
-    if isinstance(value, str):
-        return value
     if isinstance(value, int):
         return str(value)
     return " ".join(stringify(item) for item in value)
@@ -582,17 +600,21 @@ def _set_out_delimiters(state: EngineState, b1: Value, b2: Value,
 
 
 def _glob(state: EngineState, pattern: Value) -> list:
-    pat = stringify(pattern)
-    base = state.base_dir
     # A file's snippets all run before anything is written, so one sorted
-    # listing per directory serves the whole file.
-    names = state.listings.get(base)
-    if names is None:
-        names = state.listings[base] = sorted(os.listdir(base))
-    # Only * and ? are special, so "[" is bracketed to stay literal. The
-    # translation keeps the text between stars atomic: no backtracking blowup.
-    match = re.compile(fnmatch.translate(pat.replace("[", "[[]"))).match
-    return [name for name in names if match(name)]
+    # listing per directory, and one match per pattern in it, serve the
+    # whole file.
+    base, pat = state.base_dir, stringify(pattern)
+    found = state.globs.get((base, pat))
+    if found is None:
+        names = state.listings.get(base)
+        if names is None:
+            names = state.listings[base] = sorted(os.listdir(base))
+        # Only * and ? are special, so "[" is bracketed to stay literal. The
+        # translation keeps the text between stars atomic: no backtracking
+        # blowup.
+        match = re.compile(fnmatch.translate(pat.replace("[", "[[]"))).match
+        found = state.globs[base, pat] = [name for name in names if match(name)]
+    return list(found)
 
 
 def _join(state: EngineState, sep: Value, items: Value) -> str:

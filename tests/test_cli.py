@@ -245,6 +245,20 @@ def test_main_rejects_a_fence_b2_starting_with_a_digit(tmp_path, capsys):
     assert f.read_text() == source
 
 
+def test_main_is_idempotent_when_the_end_marker_overlaps_itself(tmp_path):
+    # Output "xa" and end marker "aa" overlap: the first "aa" after the
+    # begin marker starts inside the output, so the plain fence would end
+    # the block one character early and each run would add one more "a".
+    f = tmp_path / "t.txt"
+    f.write_text("<? set_out_delimiters('<', '>', 'a', 'a'); !>\n<? echo 'xa'; !>")
+    runs = []
+    for _ in range(3):
+        assert main([str(f)]) == 0
+        runs.append(f.read_bytes())
+    assert runs[0] == runs[1] == runs[2]
+    assert runs[0].endswith(b"!><1>xaa1a")
+
+
 def test_main_reports_deep_nesting_without_a_traceback(tmp_path, capsys):
     f = tmp_path / "deep.txt"
     source = "x\n<? echo " + "(" * 3000 + "'a'" + ")" * 3000 + "; !>\n"
@@ -296,4 +310,5 @@ def test_importing_the_cli_loads_no_heavy_stdlib_modules():
     loaded = subprocess.run([sys.executable, "-S", "-c", code, src],
                             capture_output=True, text=True, check=True).stdout.split()
     assert "textforge.cli" in loaded
-    assert {"dataclasses", "inspect", "datetime", "typing"} & set(loaded) == set()
+    assert {"dataclasses", "inspect", "datetime", "typing",
+            "tempfile"} & set(loaded) == set()

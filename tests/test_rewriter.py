@@ -419,6 +419,38 @@ def test_process_lists_each_glob_directory_once(tmp_path, monkeypatch):
     assert f.read_text().count("#+\ndoc.txt#-\n") == 48
 
 
+def test_process_translates_each_glob_pattern_once(tmp_path, monkeypatch):
+    (tmp_path / "a.txt").write_text("")
+    f = tmp_path / "doc.txt"
+    f.write_text("<? echo glob('*.txt'), glob('*.md'); !>\n" * 30)
+    translated = []
+    real_translate = scriptlet.fnmatch.translate
+
+    def counting_translate(pattern):
+        translated.append(pattern)
+        return real_translate(pattern)
+
+    monkeypatch.setattr(scriptlet.fnmatch, "translate", counting_translate)
+    assert process_file(str(f), STYLES["default"]) is True
+    assert sorted(translated) == ["*.md", "*.txt"]
+    assert f.read_text().count("#+\na.txt doc.txt#-\n") == 30
+
+
+def test_process_keys_each_glob_on_its_directory(tmp_path):
+    sub = tmp_path / "sub"
+    sub.mkdir()
+    (tmp_path / "starfish.conf").write_text("$Top = glob('*.txt');")
+    (tmp_path / "top.txt").write_text("")
+    (sub / "starfish.conf").write_text("$Here = glob('*.txt');")
+    f = sub / "doc.txt"
+    first = "<? echo glob('*.txt'); !>"
+    second = "<? read_starfish_conf(); echo $Top, ';', $Here, ';', glob('*.txt'); !>"
+    f.write_text(f"{first}\n{second}\n")
+    assert process_file(str(f), STYLES["default"]) is True
+    assert f.read_text() == (f"{first}#+\ndoc.txt#-\n\n"
+                             f"{second}#+\ntop.txt;doc.txt;doc.txt#-\n\n")
+
+
 # --- write_if_changed ------------------------------------------------------
 
 def test_write_if_changed_skips_identical_content(tmp_path):
@@ -478,6 +510,8 @@ _SNIPPET_CODE = st.sampled_from([
     "set_out_delimiters('[', '+', ']', '-');",
     "set_out_delimiters('#', '+\\n', '#', '-\\n');",
     "set_out_delimiters('<', '1>', '</', '2>');",  # "1" would read as a fence number
+    "set_out_delimiters('<', '>', 'a', 'a');",  # the end marker overlaps itself
+    "echo 'xa';",
     "set_style('python');",
     "set_style('java');",
     "set_style('html');",

@@ -34,18 +34,18 @@ def run(source, state=None):
 # --- lexer ---------------------------------------------------------------
 
 def test_tokenize_kinds():
-    kinds = [(t.kind, t.value) for t in tokenize("$x = 'a' . 2; # rest")]
+    kinds = [(t[0], t[1]) for t in tokenize("$x = 'a' . 2; # rest")]
     assert kinds == [("var", "x"), ("op", "="), ("str", "a"), ("op", "."),
                      ("int", "2"), ("op", ";"), ("eof", "")]
 
 
 def test_tokenize_double_quote_escapes():
     toks = tokenize(r'"a\nb\tc\\d\"e\$f"')
-    assert toks[0].value == 'a\nb\tc\\d"e$f'
+    assert toks[0][1] == 'a\nb\tc\\d"e$f'
 
 
 def test_tokenize_double_quote_bare_dollar_is_literal():
-    assert tokenize('"cost $5"')[0].value == "cost $5"
+    assert tokenize('"cost $5"')[0][1] == "cost $5"
 
 
 def test_tokenize_unknown_escape_is_an_error():
@@ -56,22 +56,22 @@ def test_tokenize_unknown_escape_is_an_error():
 
 
 def test_tokenize_single_quote_escapes():
-    assert tokenize(r"'it\'s'")[0].value == "it's"
-    assert tokenize(r"'a\\b'")[0].value == "a\\b"
+    assert tokenize(r"'it\'s'")[0][1] == "it's"
+    assert tokenize(r"'a\\b'")[0][1] == "a\\b"
     # unrecognized backslash stays put in single quotes
-    assert tokenize(r"'a\b'")[0].value == "a\\b"
+    assert tokenize(r"'a\b'")[0][1] == "a\\b"
 
 
 def test_tokenize_triple_quote_verbatim():
-    assert tokenize('"""a"b""c"""')[0].value == 'a"b""c'
+    assert tokenize('"""a"b""c"""')[0][1] == 'a"b""c'
     # backslashes and dollars stay raw
-    assert tokenize('"""\\n$x"""')[0].value == "\\n$x"
+    assert tokenize('"""\\n$x"""')[0][1] == "\\n$x"
 
 
 def test_tokenize_triple_quote_drops_one_leading_newline():
-    assert tokenize('"""\nabc"""')[0].value == "abc"
-    assert tokenize('"""\n\nabc"""')[0].value == "\nabc"
-    assert tokenize('"""abc\n"""')[0].value == "abc\n"
+    assert tokenize('"""\nabc"""')[0][1] == "abc"
+    assert tokenize('"""\n\nabc"""')[0][1] == "\nabc"
+    assert tokenize('"""abc\n"""')[0][1] == "abc\n"
 
 
 def test_tokenize_unterminated_strings():
@@ -92,7 +92,7 @@ def test_tokenize_rejects_stray_characters():
 
 
 def test_tokenize_integers_are_ascii_digits():
-    assert [t.value for t in tokenize("0123 4")[:2]] == ["0123", "4"]
+    assert [t[1] for t in tokenize("0123 4")[:2]] == ["0123", "4"]
     for digit in ("\u00b2", "\u0663"):  # superscript two, Arabic-Indic three
         with pytest.raises(ParseError) as exc:
             tokenize(f"echo 1{digit};")
@@ -109,7 +109,7 @@ def test_parse_integer_literal_beyond_int_digit_limit():
 
 
 def test_tokenize_comments_run_to_end_of_line():
-    kinds = [t.kind for t in tokenize("# all comment\necho 1;")]
+    kinds = [t[0] for t in tokenize("# all comment\necho 1;")]
     assert kinds == ["ident", "int", "op", "eof"]
 
 
@@ -127,8 +127,8 @@ def test_tokenize_positions_point_at_the_token_text(pairs, tail):
     tokens = tokenize(source)
     assert len(tokens) == len(pairs) + 1
     for (_, lexeme), token in zip(pairs, tokens):
-        assert source.startswith(lexeme, token.at)
-    assert tokens[-1].at == len(source)
+        assert source.startswith(lexeme, token[2])
+    assert tokens[-1][2] == len(source)
 
 
 # --- parser --------------------------------------------------------------
@@ -417,6 +417,15 @@ def test_glob_matches_brute_force_oracle(pattern, names):
     state.listings[state.base_dir] = names
     expected = [name for name in names if _glob_oracle(pattern, name)]
     assert scriptlet.BUILTINS["glob"][1](state, pattern) == expected
+
+
+def test_glob_returns_a_fresh_list_each_call(tmp_path):
+    (tmp_path / "a.txt").write_text("")
+    state = make_state(path=str(tmp_path / "f.txt"))
+    glob = scriptlet.BUILTINS["glob"][1]
+    first = glob(state, "*.txt")
+    first.append("b.txt")
+    assert glob(state, "*.txt") == ["a.txt"]
 
 
 def test_glob_uses_base_dir_not_file_dir(tmp_path):

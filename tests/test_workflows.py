@@ -18,5 +18,8 @@ def test_every_workflow_loads_and_each_run_step_is_a_string():
         with open(path) as fh:
             workflow = yaml.safe_load(fh)
         for job in workflow["jobs"].values():
+            # Without a limit a runaway scriptlet or regex holds a runner
+            # for the service's default of six hours.
+            assert isinstance(job.get("timeout-minutes"), int), (path, job)
             for step in job["steps"]:
                 assert isinstance(step.get("run", ""), str), (path, step)
