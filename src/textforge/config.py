@@ -4,8 +4,7 @@ When a snippet calls `read_starfish_conf()`, the engine walks upward from the
 processed file's directory collecting `starfish.conf` from each consecutive
 ancestor; the first directory without one ends the walk. The collected files
 run top-down as scriptlet programs against the file's scope, so deeper confs
-see (and may override) what their ancestors defined. Setting the environment
-variable TEXTFORGE_NO_CONF=1 disables loading entirely.
+see (and may override) what their ancestors defined.
 """
 from __future__ import annotations
 
@@ -14,7 +13,6 @@ import os
 from .core import EngineError, EngineState
 from .scriptlet import eval_program, parse_scriptlet
 
-NO_CONF_ENV = "TEXTFORGE_NO_CONF"
 CONF_NAME = "starfish.conf"
 
 
@@ -63,9 +61,6 @@ def exec_conf_chain(chain: tuple[str, ...], state: EngineState) -> None:
 def load_for_state(state: EngineState) -> None:
     """Entry point used by the read_starfish_conf builtin: idempotent per file."""
     if state.conf_loaded:
-        return
-    if os.environ.get(NO_CONF_ENV) == "1":
-        state.conf_loaded = True
         return
     start = os.path.dirname(os.path.abspath(state.file_path))
     exec_conf_chain(find_conf_chain(start), state)

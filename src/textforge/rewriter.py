@@ -117,7 +117,7 @@ def _render_snippet(parts: list[str], seg: Snippet, out: str,
             infix = choose_infix(out, delims)
             parts.append(delims.begin(infix) + out + delims.end(infix))
         return
-    if (seg.indent and seg.line_prefix == seg.indent
+    if (seg.starts_line and seg.indent
             and parts and parts[-1].endswith(seg.indent)):
         parts[-1] = parts[-1][:-len(seg.indent)]
     if out and delims.e2.endswith("\n") and not out.endswith("\n"):
@@ -217,26 +217,25 @@ def write_if_changed(path: str, text: str, current: bytes | None = None,
     mode = None if current_stat is None else stat.S_IMODE(current_stat.st_mode)
 
     target = os.path.realpath(path)
-    # A new file only its owner can read; on Windows, with no newline
-    # translation.
+    # O_BINARY: no newline translation on Windows. A new target is created
+    # 0o666 less the umask, as open() would; a replacement stays private
+    # until it takes the old file's mode.
     flags = os.O_CREAT | os.O_EXCL | os.O_WRONLY | getattr(os, "O_BINARY", 0)
+    created_mode = 0o666 if mode is None else 0o600
     tmp = None
     try:
         while tmp is None:
             name = os.path.join(os.path.dirname(target),
                                 ".textforge-" + os.urandom(6).hex())
             try:
-                fd = os.open(name, flags, 0o600)
+                fd = os.open(name, flags, created_mode)
             except FileExistsError:
                 continue
             tmp = name
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
-        if mode is None:
-            mask = os.umask(0)
-            os.umask(mask)
-            mode = 0o666 & ~mask
-        os.chmod(tmp, mode)
+        if mode is not None:
+            os.chmod(tmp, mode)
         os.replace(tmp, target)
     except BaseException as exc:
         if tmp is not None:

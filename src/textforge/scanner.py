@@ -9,6 +9,7 @@ reproduces the input byte for byte.
 """
 from __future__ import annotations
 
+import re
 from collections import namedtuple
 from collections.abc import Iterator
 
@@ -27,19 +28,21 @@ Outer = namedtuple("Outer", "text")
 
 # One begin/end-delimited scriptlet occurrence. raw spans begin through end
 # delimiter inclusive; code is the text between them, and code_offset where
-# that text starts in the scanned text. indent is the leading
-# whitespace of the source line holding the begin delimiter and line_prefix
-# everything on that line before the delimiter (see `iter_segments`).
+# that text starts in the scanned text. indent is the leading whitespace of
+# the source line holding the begin delimiter, and starts_line whether only
+# that whitespace precedes the delimiter (see `iter_segments`).
 # existing_output is the text of the output block that follows the snippet,
 # or None. out_delims/indent_adjust record the values in effect when the
 # snippet was scanned, so later retargeting cannot re-wrap earlier output.
-Snippet = namedtuple("Snippet", "raw code code_offset indent line_prefix "
+Snippet = namedtuple("Snippet", "raw code code_offset indent starts_line "
                      "existing_output out_delims indent_adjust")
 
 # Text matched by a regex hook, with its capture groups.
 PatternMatch = namedtuple("PatternMatch", "hook_index matched captures")
 
 Segment = Outer | Snippet | PatternMatch
+
+_BLANKS = re.compile("[ \t]*")
 
 
 def _search(text: str, hook: Hook, from_: int):
@@ -130,23 +133,18 @@ def detect_output_block(text: str, at: int,
     return text[at:k + len(end_marker)]
 
 
-def _line_prefix(text: str, start: int, skipped: list[tuple[int, int]],
-                 offset: int) -> tuple[str, str]:
-    """(leading whitespace of the source line, everything on it before
-    offset). The source line begins at `start` and leaves out the output
-    blocks spanned by `skipped`."""
-    pieces = []
-    for block_start, block_end in skipped:
-        pieces.append(text[start:block_start])
-        start = block_end
-    pieces.append(text[start:offset])
-    prefix = "".join(pieces)
-    body = prefix.lstrip(" \t")
-    end = offset
-    if not body:  # the leading whitespace may run on past offset
-        while end < len(text) and text[end] in " \t":
-            end += 1
-    return prefix[:len(prefix) - len(body)] + text[offset:end], prefix
+def _line(text: str, a: int, b: int, indent: str,
+          blank: bool) -> tuple[str, bool]:
+    """(indent, blank) of the source line once `text[a:b]` is read onto it:
+    its leading spaces and tabs so far, and whether that is all of it."""
+    newline = text.rfind("\n", a, b)
+    if newline >= 0:
+        a, indent, blank = newline + 1, "", True
+    if blank:
+        end = _BLANKS.match(text, a, b).end()
+        indent += text[a:end]
+        blank = end == b
+    return indent, blank
 
 
 def iter_segments(text: str, state: EngineState) -> Iterator[Segment]:
@@ -157,14 +155,14 @@ def iter_segments(text: str, state: EngineState) -> Iterator[Segment]:
     in both modes, only for BeginEnd hooks, and only with zero characters
     between snippet end and block begin.
 
-    A snippet's indent and line prefix come from its source line: the line
-    as it reads with consumed output blocks left out. Update only rewrites
+    A snippet's indent and whether it starts its line come from its source
+    line: the line as it reads with consumed output blocks left out, carried
+    forward piece by piece so no line is read twice. Update only rewrites
     blocks, so it cannot change them, and a rerun indents output the same.
     """
     pos = 0
     n = len(text)
-    line_start = 0
-    skipped: list[tuple[int, int]] = []  # blocks consumed on the source line
+    indent, blank = "", True  # the source line so far, as `_line` keeps it
     found: dict = {}  # hook -> its next occurrence, for find_next_match
     while True:
         match = find_next_match(text, pos, state.hooks, cache=found)
@@ -175,13 +173,13 @@ def iter_segments(text: str, state: EngineState) -> Iterator[Segment]:
         index, start, end, captures = match
         if start > pos:
             yield Outer(text[pos:start])
-        newline = text.rfind("\n", pos, start)
-        if newline >= 0:
-            line_start, skipped = newline + 1, []
+            indent, blank = _line(text, pos, start, indent, blank)
         existing = None
         hook = state.hooks[index]
         if isinstance(hook, BeginEnd):
-            indent, prefix = _line_prefix(text, line_start, skipped, start)
+            # On a blank line a delimiter's leading whitespace (" [[") adds
+            # to the indent, and the snippet then does not start its line.
+            run = text[start:_BLANKS.match(text, start).end()] if blank else ""
             delims = state.out_delims
             existing = detect_output_block(text, end, delims)
             code_offset = start + len(hook.begin)
@@ -189,18 +187,15 @@ def iter_segments(text: str, state: EngineState) -> Iterator[Segment]:
                 raw=text[start:end],
                 code=text[code_offset:end - len(hook.end)],
                 code_offset=code_offset,
-                indent=indent,
-                line_prefix=prefix,
+                indent=indent + run,
+                starts_line=blank and not run,
                 existing_output=existing,
                 out_delims=delims,
                 indent_adjust=state.indent_adjust,
             )
         else:
             yield PatternMatch(index, text[start:end], captures)
-        newline = text.rfind("\n", start, end)
-        if newline >= 0:
-            line_start, skipped = newline + 1, []
+        indent, blank = _line(text, start, end, indent, blank)
         pos = end
         if existing is not None:
-            skipped.append((pos, pos + len(existing)))
             pos += len(existing)

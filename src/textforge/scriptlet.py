@@ -48,6 +48,7 @@ KEYWORDS = frozenset({"echo", "if", "else", "for", "in"})
 
 _ONE_CHAR_OPS = "=<>?:.,;(){}"
 _DQ_ESCAPES = {"n": "\n", "t": "\t", "\\": "\\", '"': '"', "$": "$"}
+_SQ_ESCAPES = {"'": "'", "\\": "\\"}
 
 
 def tokenize(source: str) -> list[tuple[str, str, int]]:
@@ -78,42 +79,27 @@ def tokenize(source: str) -> list[tuple[str, str, int]]:
             if value.startswith("\n"):
                 value = value[1:]
             kind, i = "str", end + 3
-        elif ch == '"':
+        elif ch == '"' or ch == "'":
+            escapes = _DQ_ESCAPES if ch == '"' else _SQ_ESCAPES
             i += 1
             parts: list[str] = []
             while True:
                 if i >= n:
                     raise ParseError("unterminated string", at=start)
                 c = source[i]
-                if c == '"':
+                if c == ch:
                     i += 1
                     break
                 if c == "\\":
-                    if i + 1 >= n:
-                        raise ParseError("unterminated string", at=start)
-                    esc = source[i + 1]
-                    if esc not in _DQ_ESCAPES:
+                    esc = source[i + 1:i + 2]
+                    if esc in escapes:
+                        parts.append(escapes[esc])
+                        i += 2
+                        continue
+                    if ch == '"':  # single quotes keep any other backslash
+                        if not esc:
+                            raise ParseError("unterminated string", at=start)
                         raise ParseError(f"unknown escape '\\{esc}' in string", at=i)
-                    parts.append(_DQ_ESCAPES[esc])
-                    i += 2
-                    continue
-                parts.append(c)
-                i += 1
-            kind, value = "str", "".join(parts)
-        elif ch == "'":
-            i += 1
-            parts = []
-            while True:
-                if i >= n:
-                    raise ParseError("unterminated string", at=start)
-                c = source[i]
-                if c == "'":
-                    i += 1
-                    break
-                if c == "\\" and i + 1 < n and source[i + 1] in ("'", "\\"):
-                    parts.append(source[i + 1])
-                    i += 2
-                    continue
                 parts.append(c)
                 i += 1
             kind, value = "str", "".join(parts)
@@ -377,7 +363,6 @@ def _nothing(run: _Run) -> None:
 def _literal(value: str | int):
     def literal(run):
         return value
-    literal.text = stringify(value)  # what echo appends, converted once
     return literal
 
 
@@ -395,16 +380,14 @@ def _assign(name: str, expr):
 
 
 def _echo(args: list, at: int):
-    # A literal argument is its text; anything else is a closure.
-    args = tuple(getattr(arg, "text", arg) for arg in args)
+    args = tuple(args)
 
     def echo(run):
         out, size = run.out, run.out_len
         for arg in args:
+            arg = arg(run)
             if type(arg) is not str:
-                arg = arg(run)
-                if type(arg) is not str:
-                    arg = stringify(arg)
+                arg = stringify(arg)
             size += len(arg)
             if size > MAX_STRING:
                 raise EvalError(f"output longer than {MAX_STRING} characters",

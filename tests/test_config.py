@@ -5,7 +5,6 @@ import pytest
 from helpers import make_state
 from textforge.config import (
     CONF_NAME,
-    NO_CONF_ENV,
     exec_conf_chain,
     find_conf_chain,
     load_for_state,
@@ -127,15 +126,6 @@ def test_load_runs_once_per_file(tmp_path):
     state.scope["n"] = "changed"
     load_for_state(state)  # second call must not re-execute the conf
     assert state.scope["n"] == "changed"
-
-
-def test_load_disabled_by_environment(tmp_path, monkeypatch):
-    _conf(tmp_path, "$n = 'fresh';")
-    monkeypatch.setenv(NO_CONF_ENV, "1")
-    state = make_state(path=str(tmp_path / "f.txt"))
-    load_for_state(state)
-    assert state.scope == {}
-    assert state.conf_loaded is True
 
 
 def test_load_uses_the_processed_files_directory(tmp_path):

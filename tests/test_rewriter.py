@@ -491,6 +491,20 @@ def test_write_if_changed_leaves_no_temp_files(tmp_path):
     assert os.listdir(tmp_path) == ["a.txt"]
 
 
+def test_replace_creates_its_target_under_the_umask(tmp_path):
+    src = tmp_path / "in.txt"
+    src.write_text("a <? echo 'x'; !> b")
+    out = tmp_path / "out.txt"
+    mask = os.umask(0o027)
+    try:
+        assert process_file(str(src), STYLES["default"], out_path=str(out))
+    finally:
+        os.umask(mask)
+    assert out.read_text() == "a x\n b"
+    assert statmod.S_IMODE(os.stat(out).st_mode) == 0o640
+    assert sorted(os.listdir(tmp_path)) == ["in.txt", "out.txt"]
+
+
 # --- invariants over generated documents -----------------------------------
 
 _OUTER = st.text(alphabet="ab @[]\n", max_size=6)

@@ -1,4 +1,5 @@
 import re
+import time
 import types
 from unittest import mock
 
@@ -230,25 +231,25 @@ def test_scan_block_must_touch_end_delimiter():
     assert segs[2] == Outer(" //+\nOLD//-\n")
 
 
-def test_scan_records_indent_and_line_prefix():
+def test_scan_records_indent_and_whether_snippet_starts_line():
     state = make_state()
     snip = list(iter_segments("  x <? c !>", state))[1]
     assert snip.indent == "  "
-    assert snip.line_prefix == "  x "
+    assert snip.starts_line is False
     state = make_state()
     snip = list(iter_segments("    <? c !>", state))[1]
     assert snip.indent == "    "
-    assert snip.line_prefix == "    "
+    assert snip.starts_line is True
 
 
-def test_scan_line_prefix_leaves_out_consumed_output_blocks():
+def test_scan_line_leaves_out_consumed_output_blocks():
     # The block's newline must not start a new line: update inserted it,
     # and the pristine "<? a !> <? b !>" gives b no indent.
     segs = list(iter_segments("<? a !>#+\nA#-\n <? b !>#+\nB\n#-\n\n  <? c !>",
                               make_state(style="python")))
     b, c = [s for s in segs if isinstance(s, Snippet)][1:]
-    assert (b.indent, b.line_prefix) == ("", "<? a !> ")
-    assert (c.indent, c.line_prefix) == ("  ", "  ")
+    assert (b.indent, b.starts_line) == ("", False)
+    assert (c.indent, c.starts_line) == ("  ", True)
 
 
 def test_scan_snapshots_out_delims_per_snippet():
@@ -386,3 +387,59 @@ def test_scan_cache_agrees_with_fresh_searches(text):
     with mock.patch.object(scanner, "find_next_match", uncached):
         fresh = _run_snippets(text, make_state())
     assert cached == fresh
+
+
+# --- the source line: its indent is carried forward, never re-read ---------
+
+def test_scan_of_many_snippets_on_one_line_is_linear():
+    # Re-reading the line for each snippet took about 21 s here.
+    text = "<? $a = 1; !>#+\nx#-\n " * 20_000
+    started = time.perf_counter()
+    segs = list(iter_segments(text, make_state(style="python")))
+    assert time.perf_counter() - started < 2
+    assert len(segs) == 40_000
+    assert segs[-2].indent == "" and segs[-2].existing_output == "#+\nx#-\n"
+
+
+def test_scan_whitespace_led_delimiter_runs_on_into_the_indent():
+    state = make_state(style="python")
+    state.hooks.append(BeginEnd(" [[", "]]"))
+    segs = list(iter_segments("x\n   [[ c ]]\n  <? d !>", state))
+    c, d = [s for s in segs if isinstance(s, Snippet)]
+    assert (c.raw, c.indent, c.starts_line) == (" [[ c ]]", "   ", False)
+    assert (d.raw, d.indent, d.starts_line) == ("<? d !>", "  ", True)
+
+
+_LINE_PIECES = st.sampled_from([
+    "x", " ", "  ", "\t", "\n", "\n  ", "<? a !>", "<? b\nc !>", "#<? e !>",
+    " [[ c ]]", "\n [[ c ]]", "\n\t  [[ c ]]", "[[ d ]]", "]]", "#+\nX#-\n",
+    "#+\n#-\n", "#+\nY\n#-\n",
+])
+
+
+@settings(max_examples=300)
+@given(st.lists(_LINE_PIECES, max_size=16).map("".join), st.booleans())
+def test_scan_indent_and_starts_line_match_the_rebuilt_source_line(
+        text, blank_regex):
+    state = make_state(style="python")
+    state.hooks.append(BeginEnd(" [[", "]]"))
+    if blank_regex:
+        state.hooks.append(Pattern(re.compile(" +"), "_"))
+    source, offset = [], 0  # the source read so far; where the scan is
+    for seg in iter_segments(text, state):
+        if isinstance(seg, Snippet):
+            line = "".join(source).rpartition("\n")[2]
+            body = line.lstrip(" \t")
+            if body:
+                indent, starts_line = line[:len(line) - len(body)], False
+            else:
+                run = re.match("[ \t]*", text[offset:]).group()
+                indent, starts_line = line + run, not run
+            assert (seg.indent, seg.starts_line) == (indent, starts_line)
+            source.append(seg.raw)
+            offset += len(seg.raw) + len(seg.existing_output or "")
+        else:
+            piece = seg.text if isinstance(seg, Outer) else seg.matched
+            source.append(piece)
+            offset += len(piece)
+    assert offset == len(text)

@@ -4,7 +4,8 @@ import time
 from datetime import datetime
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import (
+    HealthCheck, assume, example, given, settings, strategies as st)
 
 from helpers import make_state
 from textforge import scriptlet
@@ -129,6 +130,43 @@ def test_tokenize_positions_point_at_the_token_text(pairs, tail):
     for (_, lexeme), token in zip(pairs, tokens):
         assert source.startswith(lexeme, token[2])
     assert tokens[-1][2] == len(source)
+
+
+def _decode_quoted(source):
+    """Reference lexer for the string opening `source`: ("str", value, end),
+    or ("error", message, at) for the ParseError it must raise."""
+    quote = source[0]
+    escapes = ({"n": "\n", "t": "\t", "\\": "\\", '"': '"', "$": "$"}
+               if quote == '"' else {"'": "'", "\\": "\\"})
+    value, i = "", 1
+    while i < len(source):
+        c, esc = source[i], source[i + 1:i + 2]
+        if c == quote:
+            return "str", value, i + 1
+        if c == "\\" and esc in escapes:
+            value, i = value + escapes[esc], i + 2
+        elif c == "\\" and quote == '"' and esc:
+            return "error", f"unknown escape '\\{esc}' in string", i
+        elif c == "\\" and quote == '"':
+            break
+        else:
+            value, i = value + c, i + 1
+    return "error", "unterminated string", 0
+
+
+@example("'a\\")
+@example('"a\\')
+@given(st.sampled_from("'\"").flatmap(
+    lambda q: st.text(alphabet="'\"\\ntx$", max_size=12).map(q.__add__)))
+def test_tokenize_quoted_strings_match_a_reference_decoder(source):
+    assume(not source.startswith('"""'))
+    kind, value, at = _decode_quoted(source)
+    if kind == "error":
+        with pytest.raises(ParseError) as exc:
+            tokenize(source)
+        assert (exc.value.message, exc.value.at) == (value, at)
+    else:
+        assert tokenize(source[:at]) == [("str", value, 0), ("eof", "", at)]
 
 
 # --- parser --------------------------------------------------------------
