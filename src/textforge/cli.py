@@ -14,6 +14,7 @@ FILE:LINE:COL: message.
 """
 from __future__ import annotations
 
+import gc
 import sys
 
 from .core import EngineError, UsageError
@@ -73,18 +74,28 @@ def run(opts: CliOptions) -> int:
                   f"(known: {known})", file=sys.stderr)
             return 2
 
-    status = 0
-    for path in opts.files:
-        try:
-            process_file(path, override or detect_style(path),
-                         out_path=opts.out_path, init_code=opts.init_code)
-        except EngineError as exc:
-            print(exc.diagnostic(), file=sys.stderr)
-            status = 1
-        except OSError as exc:
-            print(f"{path}:0:0: {exc}", file=sys.stderr)
-            status = 1
-    return status
+    # The cyclic collector is paused for the run, as Mercurial's util.nogc
+    # does: compiled programs, $O pieces and scanner segments hold no
+    # reference cycles, so reference counting frees them as each snippet and
+    # file ends, and each collector pass would only rescan them.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        status = 0
+        for path in opts.files:
+            try:
+                process_file(path, override or detect_style(path),
+                             out_path=opts.out_path, init_code=opts.init_code)
+            except EngineError as exc:
+                print(exc.diagnostic(), file=sys.stderr)
+                status = 1
+            except OSError as exc:
+                print(f"{path}:0:0: {exc}", file=sys.stderr)
+                status = 1
+        return status
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def main(argv: list[str] | None = None) -> int:

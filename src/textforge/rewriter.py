@@ -51,18 +51,46 @@ def choose_infix(output: str, delims: OutDelims) -> str:
     the scanner takes the first end marker after the begin marker, which
     must be the one appended after the output.
     """
-    def clashes(infix: str) -> bool:
-        end = delims.end(infix)
-        return (delims.begin(infix).rstrip("\n") in output
-                or end.rstrip("\n") in output
-                or (output + end).find(end) < len(output))
-
-    if not clashes(""):
-        return ""
-    n = 1
-    while clashes(str(n)):
+    # Numbered infixes of up to `width` digits are looked up among those
+    # found in one scan of the output per marker shape. Passing them all
+    # takes 10**width - 1 clashes, more than the output holds markers; the
+    # empty infix and any longer one are checked against the output itself.
+    width = len(str(len(output))) + 1
+    taken = (_digits_between(output, delims.b1, delims.b2.rstrip("\n"), width)
+             | _digits_between(output, delims.e1, delims.e2.rstrip("\n"), width))
+    n = 0
+    while True:
+        infix = str(n) if n else ""
+        marker = delims.end(infix)
+        if 0 < len(infix) <= width:
+            clash = infix in taken
+        else:
+            clash = (delims.begin(infix).rstrip("\n") in output
+                     or marker.rstrip("\n") in output)
+        if not clash:
+            # Only an end marker that starts in the output's last
+            # len(marker) - 1 characters can overlap its tail.
+            tail = output[max(0, len(output) - len(marker) + 1):]
+            if (tail + marker).find(marker) == len(tail):
+                return infix
         n += 1
-    return str(n)
+
+
+def _digits_between(output: str, prefix: str, suffix: str,
+                    width: int) -> set[str]:
+    """Every run of 1 to `width` ASCII digits that occurs in `output` right
+    after `prefix` and right before `suffix`."""
+    found = set()
+    at = output.find(prefix)
+    while at >= 0:
+        start = stop = at + len(prefix)
+        end = min(start + width, len(output))
+        while stop < end and "0" <= output[stop] <= "9":
+            stop += 1
+            if output.startswith(suffix, stop):
+                found.add(output[start:stop])
+        at = output.find(prefix, at + 1)
+    return found
 
 
 def indent_output(output: str, indent: str) -> str:

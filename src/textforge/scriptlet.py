@@ -46,7 +46,11 @@ from .styles import STYLES
 
 KEYWORDS = frozenset({"echo", "if", "else", "for", "in"})
 
-_ONE_CHAR_OPS = "=<>?:.,;(){}"
+_ONE_CHAR_OPS = frozenset("=<>?:.,;(){}")
+_DIGITS = frozenset("0123456789")
+_NAME_START = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
+_NAME_CHARS = _NAME_START | _DIGITS
+_COMPARISONS = frozenset({"==", "!=", "<", ">"})
 _DQ_ESCAPES = {"n": "\n", "t": "\t", "\\": "\\", '"': '"', "$": "$"}
 _SQ_ESCAPES = {"'": "'", "\\": "\\"}
 
@@ -56,79 +60,89 @@ def tokenize(source: str) -> list[tuple[str, str, int]]:
     ident, var, int, str, op or eof and `at` is the offset of the token's
     first character; raises ParseError on malformed input."""
     tokens: list[tuple[str, str, int]] = []
+    append = tokens.append
     i = 0
     n = len(source)
-    while True:
-        while i < n:
-            ch = source[i]
-            if ch in " \t\r\n":
-                i += 1
-            elif ch == "#":
-                j = source.find("\n", i)
-                i = n if j < 0 else j + 1
+    while i < n:
+        ch = source[i]
+        # Tested in order of frequency: about half of all tokens are
+        # one-character operators.
+        if ch in _ONE_CHAR_OPS:
+            if ch == "=" and source.startswith("=", i + 1):
+                append(("op", "==", i))
+                i += 2
             else:
-                break
-        start = i
-        if i >= n:
-            kind, value = "eof", ""
-        elif ch == '"' and source.startswith('"""', i):
+                append(("op", ch, i))
+                i += 1
+        elif ch in " \t\r\n":
+            i += 1
+        elif ch in _NAME_START or ch == "$" or (ch > "\x7f" and ch.isalpha()):
+            # A name starts with a letter or "_"; a variable is "$" and a
+            # name. ASCII is scanned by set lookup, the rest by isalnum.
+            j = i + 1
+            if ch == "$":
+                if j >= n or not ((c := source[j]) in _NAME_START
+                                  or c.isalpha()):
+                    raise ParseError("'$' must be followed by a variable name",
+                                     at=i)
+                j += 1
+            while j < n and source[j] in _NAME_CHARS:
+                j += 1
+            if j < n and source[j] > "\x7f":
+                while j < n and ((c := source[j]).isalnum() or c == "_"):
+                    j += 1
+            if ch == "$":
+                append(("var", source[i + 1:j], i))
+            else:
+                append(("ident", source[i:j], i))
+            i = j
+        elif ch == '"' and source.startswith('""', i + 1):
             end = source.find('"""', i + 3)
             if end < 0:
                 raise ParseError("unterminated triple-quoted string", at=i)
             value = source[i + 3:end]
-            if value.startswith("\n"):
-                value = value[1:]
-            kind, i = "str", end + 3
+            append(("str", value[1:] if value.startswith("\n") else value, i))
+            i = end + 3
         elif ch == '"' or ch == "'":
+            # The text between backslashes is sliced out whole.
             escapes = _DQ_ESCAPES if ch == '"' else _SQ_ESCAPES
-            i += 1
-            parts: list[str] = []
-            while True:
-                if i >= n:
-                    raise ParseError("unterminated string", at=start)
-                c = source[i]
-                if c == ch:
-                    i += 1
-                    break
-                if c == "\\":
-                    esc = source[i + 1:i + 2]
-                    if esc in escapes:
-                        parts.append(escapes[esc])
-                        i += 2
-                        continue
-                    if ch == '"':  # single quotes keep any other backslash
-                        if not esc:
-                            raise ParseError("unterminated string", at=start)
-                        raise ParseError(f"unknown escape '\\{esc}' in string", at=i)
-                parts.append(c)
-                i += 1
-            kind, value = "str", "".join(parts)
-        elif ch == "$" or ch.isalpha() or ch == "_":
-            # A name starts with a letter or "_"; a variable is "$" and a name.
-            first = i + 1 if ch == "$" else i
-            if first >= n or not (source[first].isalpha() or source[first] == "_"):
-                raise ParseError("'$' must be followed by a variable name", at=i)
-            j = first + 1
-            while j < n and ((c := source[j]).isalnum() or c == "_"):
-                j += 1
-            kind = "var" if ch == "$" else "ident"
-            value, i = source[first:j], j
-        elif "0" <= ch <= "9":
             j = i + 1
-            while j < n and "0" <= source[j] <= "9":
+            close = source.find(ch, j)
+            parts: list[str] = []
+            while (slash := source.find("\\", j, n if close < 0 else close)) >= 0:
+                parts.append(source[j:slash])
+                esc = source[slash + 1:slash + 2]
+                if esc not in escapes and ch == '"':
+                    if not esc:
+                        raise ParseError("unterminated string", at=i)
+                    raise ParseError(f"unknown escape '\\{esc}' in string",
+                                     at=slash)
+                # Single quotes keep any other backslash.
+                parts.append(escapes.get(esc, "\\" + esc))
+                j = slash + 2
+                if j > close >= 0:  # the escape was the closing quote
+                    close = source.find(ch, j)
+            if close < 0:
+                raise ParseError("unterminated string", at=i)
+            value = source[j:close]
+            append(("str", "".join(parts) + value if parts else value, i))
+            i = close + 1
+        elif ch in _DIGITS:
+            j = i + 1
+            while j < n and source[j] in _DIGITS:
                 j += 1
-            kind, value, i = "int", source[i:j], j
-        elif ch in "=!" and source.startswith("=", i + 1):
-            kind, value = "op", ch + "="
+            append(("int", source[i:j], i))
+            i = j
+        elif ch == "#":
+            j = source.find("\n", i)
+            i = n if j < 0 else j + 1
+        elif ch == "!" and source.startswith("=", i + 1):
+            append(("op", "!=", i))
             i += 2
-        elif ch in _ONE_CHAR_OPS:
-            kind, value = "op", ch
-            i += 1
         else:
             raise ParseError(f"unexpected character {ch!r}", at=i)
-        tokens.append((kind, value, start))
-        if kind == "eof":
-            return tokens
+    append(("eof", "", n))
+    return tokens
 
 
 # Parentheses, call arguments, ?: branches and blocks, nested in any mix.
@@ -163,38 +177,23 @@ class _Run:
 
 
 class _Parser:
+    """Compiles tokens to closures by recursive descent. `t` is the current
+    token, `tokens[pos]`; stepping stops at the final eof token."""
+
+    __slots__ = ("tokens", "pos", "t", "depth")
+
     def __init__(self, tokens: list[tuple[str, str, int]]):
         self.tokens = tokens
         self.pos = 0
-        self.t = tokens[0]  # the current token; the last one is eof
+        self.t = tokens[0]
         self.depth = 0
 
-    def advance(self) -> tuple[str, str, int]:
-        t = self.t
-        if t[0] != "eof":
-            self.pos += 1
-            self.t = self.tokens[self.pos]
-        return t
-
-    def expect_op(self, op: str) -> tuple[str, str, int]:
+    def expect_op(self, op: str) -> None:
         kind, value, at = self.t
         if value != op or kind != "op":
             raise ParseError(f"expected '{op}', got {value or kind!r}", at=at)
-        return self.advance()
-
-    def at_op(self, op: str) -> bool:
-        return self.t[1] == op and self.t[0] == "op"
-
-    def at_keyword(self, word: str) -> bool:
-        return self.t[1] == word and self.t[0] == "ident"
-
-    def nest(self) -> None:
-        """Enter one nesting level; the caller leaves it by decrementing
-        `depth` on success (a ParseError ends the whole parse)."""
-        self.depth += 1
-        if self.depth > MAX_NESTING:
-            raise ParseError(f"nesting deeper than {MAX_NESTING} levels",
-                             at=self.t[2])
+        self.pos += 1
+        self.t = self.tokens[self.pos]
 
     # statements
 
@@ -209,41 +208,48 @@ class _Parser:
         if kind == "var":
             after = self.tokens[self.pos + 1]  # exists: t is not eof
             if after[1] == "=" and after[0] == "op":
-                self.advance()
-                self.advance()
+                self.pos += 2
+                self.t = self.tokens[self.pos]
                 expr = self.expression()
                 self.expect_op(";")
                 return _assign(value, expr)
         elif kind == "ident" and value == "echo":
-            self.advance()
+            self.pos += 1
+            self.t = self.tokens[self.pos]
             args = [self.expression()]
-            while self.at_op(","):
-                self.advance()
+            while self.t[1] == "," and self.t[0] == "op":
+                self.pos += 1
+                self.t = self.tokens[self.pos]
                 args.append(self.expression())
             self.expect_op(";")
             return _echo(args, at)
         elif kind == "ident" and value == "if":
-            self.advance()
+            self.pos += 1
+            self.t = self.tokens[self.pos]
             self.expect_op("(")
             cond = self.expression()
             self.expect_op(")")
             then = self.block()
             other = _nothing
-            if self.at_keyword("else"):
-                self.advance()
+            if self.t[1] == "else" and self.t[0] == "ident":
+                self.pos += 1
+                self.t = self.tokens[self.pos]
                 other = self.block()
 
             def if_(run):
                 (then if truthy(cond(run)) else other)(run)
             return if_
         elif kind == "ident" and value == "for":
-            self.advance()
-            var_kind, name, var_at = self.advance()
+            self.pos += 1
+            var_kind, name, var_at = self.t = self.tokens[self.pos]
             if var_kind != "var":
                 raise ParseError("expected a loop variable after 'for'", at=var_at)
-            if not self.at_keyword("in"):
+            self.pos += 1
+            self.t = self.tokens[self.pos]
+            if self.t[1] != "in" or self.t[0] != "ident":
                 raise ParseError("expected 'in' in for statement", at=self.t[2])
-            self.advance()
+            self.pos += 1
+            self.t = self.tokens[self.pos]
             items = self.expression()
             return _loop(at, name, var_at, items, self.block())
         expr = self.expression()
@@ -251,14 +257,18 @@ class _Parser:
         return expr
 
     def block(self):
-        self.nest()
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels",
+                             at=self.t[2])
         self.expect_op("{")
         stmts = []
-        while not self.at_op("}"):
+        while self.t[1] != "}" or self.t[0] != "op":
             if self.t[0] == "eof":
                 raise ParseError("unterminated block: missing '}'", at=self.t[2])
             stmts.append(self.statement())
-        self.advance()
+        self.pos += 1
+        self.t = self.tokens[self.pos]
         self.depth -= 1
         if len(stmts) == 1:
             return stmts[0]
@@ -272,46 +282,40 @@ class _Parser:
     # expressions
 
     def expression(self):
-        self.nest()
-        cond = self.comparison()
-        if self.at_op("?"):
-            self.advance()
-            then = self.expression()
-            self.expect_op(":")
-            other = self.expression()
-            self.depth -= 1
-            return lambda run: (then if truthy(cond(run)) else other)(run)
+        """One nesting level: a concat, then an optional comparison, then
+        an optional ?: whose branches are expressions."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels",
+                             at=self.t[2])
+        cond = self.concat()
+        kind, op, _ = self.t
+        if kind == "op":
+            if op in _COMPARISONS:
+                self.pos += 1
+                self.t = self.tokens[self.pos]
+                cond = _compare(op, cond, self.concat())
+                kind, op, _ = self.t
+            if op == "?" and kind == "op":
+                self.pos += 1
+                self.t = self.tokens[self.pos]
+                then = self.expression()
+                self.expect_op(":")
+                other = self.expression()
+                self.depth -= 1
+                return lambda run: (then if truthy(cond(run)) else other)(run)
         self.depth -= 1
         return cond
 
-    def comparison(self):
-        left = self.concat()
-        kind, op, _ = self.t
-        if kind != "op" or op not in ("==", "!=", "<", ">"):
-            return left
-        self.advance()
-        right = self.concat()
-        if op == "==":
-            return lambda run: stringify(left(run)) == stringify(right(run))
-        if op == "!=":
-            return lambda run: stringify(left(run)) != stringify(right(run))
-        less = op == "<"
-
-        def order(run):
-            a, b = left(run), right(run)
-            if type(a) is not int or type(b) is not int:
-                a, b = stringify(a), stringify(b)
-            return a < b if less else a > b
-        return order
-
     def concat(self):
         first = self.primary()
-        if not self.at_op("."):
+        kind, value, at = self.t
+        if value != "." or kind != "op":
             return first
-        at = self.t[2]
         parts = [first]
-        while self.at_op("."):
-            self.advance()
+        while self.t[1] == "." and self.t[0] == "op":
+            self.pos += 1
+            self.t = self.tokens[self.pos]
             parts.append(self.primary())
         parts = tuple(parts)
 
@@ -324,15 +328,13 @@ class _Parser:
         return concat
 
     def primary(self):
-        kind, value, at = self.advance()
+        kind, value, at = self.t
+        if kind == "eof":
+            raise ParseError("expected an expression, got 'eof'", at=at)
+        self.pos += 1
+        self.t = self.tokens[self.pos]
         if kind == "str":
             return _literal(value)
-        if kind == "int":
-            try:
-                return _literal(int(value))
-            except ValueError:  # beyond int()'s limit on digits
-                raise ParseError(f"integer literal too long ({len(value)} digits)",
-                                 at=at) from None
         if kind == "var":
             return _variable(value, at)
         if kind == "ident":
@@ -340,24 +342,46 @@ class _Parser:
                 raise ParseError(f"unexpected keyword '{value}'", at=at)
             self.expect_op("(")
             args = []
-            if not self.at_op(")"):
+            if self.t[1] != ")" or self.t[0] != "op":
                 args.append(self.expression())
-                while self.at_op(","):
-                    self.advance()
+                while self.t[1] == "," and self.t[0] == "op":
+                    self.pos += 1
+                    self.t = self.tokens[self.pos]
                     args.append(self.expression())
             self.expect_op(")")
             return _call(value, at, tuple(args))
-        if kind == "op" and value == "(":
+        if kind == "int":
+            try:
+                return _literal(int(value))
+            except ValueError:  # beyond int()'s limit on digits
+                raise ParseError(f"integer literal too long ({len(value)} digits)",
+                                 at=at) from None
+        if value == "(":  # kind is op
             expr = self.expression()
             self.expect_op(")")
             return expr
-        raise ParseError(f"expected an expression, got {value or kind!r}", at=at)
+        raise ParseError(f"expected an expression, got {value!r}", at=at)
 
 
 # --- closures the parser compiles to -----------------------------------
 
 def _nothing(run: _Run) -> None:
     pass
+
+
+def _compare(op: str, left, right):
+    if op == "==":
+        return lambda run: stringify(left(run)) == stringify(right(run))
+    if op == "!=":
+        return lambda run: stringify(left(run)) != stringify(right(run))
+    less = op == "<"
+
+    def order(run):
+        a, b = left(run), right(run)
+        if type(a) is not int or type(b) is not int:
+            a, b = stringify(a), stringify(b)
+        return a < b if less else a > b
+    return order
 
 
 def _literal(value: str | int):

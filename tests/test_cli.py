@@ -1,3 +1,4 @@
+import gc
 import os
 import re
 import subprocess
@@ -161,6 +162,53 @@ def test_main_keeps_going_after_a_bad_file(tmp_path, capsys):
     assert f"{bad}:1:3: " in err
     assert bad.read_text() == "x <? broken"
     assert good.read_text() == "<? echo 'ok'; !>#+\nok#-\n"
+
+
+def _mixed_files(tmp_path):
+    """Good files, and files that fail in every way a run can fail."""
+    sources = {
+        "good.txt": "<? echo 'ok', glob('*.py'); !>\n",
+        "parse.txt": "<? echo 'a' 'b'; !>\n",
+        "eval.txt": "<? echo $undefined; !>\n",
+        "open.txt": "<? echo 1;\n",
+        "loop.py": "# <? for $f in glob('*') { echo $f, '\\n'; } !>\n",
+    }
+    for name, text in sources.items():
+        (tmp_path / name).write_text(text)
+    return [str(tmp_path / name) for name in sources] + [
+        str(tmp_path / "missing.txt")]
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_leaves_the_cyclic_collector_as_it_found_it(tmp_path, capsys,
+                                                         enabled):
+    files = _mixed_files(tmp_path)
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        assert main(files) == 1
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    err = capsys.readouterr().err
+    for name in ("parse.txt", "eval.txt", "open.txt", "missing.txt"):
+        assert f"{tmp_path / name}:" in err
+
+
+def test_main_leaves_no_reference_cycles_behind(tmp_path, capsys):
+    files = _mixed_files(tmp_path)
+    main(files)  # imports and caches settle on the first run
+    was = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(3):
+            assert main(files) == 1
+        assert gc.collect() == 0
+    finally:
+        if was:
+            gc.enable()
+    capsys.readouterr()
 
 
 def test_main_reports_missing_file(tmp_path, capsys):

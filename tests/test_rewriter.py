@@ -1,6 +1,7 @@
 import os
 import stat as statmod
 import tempfile
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -88,6 +89,40 @@ def test_choose_infix_is_minimal_and_safe(output):
         for cand in smaller:
             assert (delims.begin(cand).rstrip("\n") in output
                     or delims.end(cand).rstrip("\n") in output)
+
+
+def _reference_infix(output, delims):
+    """choose_infix as first written: try "", 1, 2, ... in turn against the
+    whole output."""
+    def clashes(infix):
+        end = delims.end(infix)
+        return (delims.begin(infix).rstrip("\n") in output
+                or end.rstrip("\n") in output
+                or (output + end).find(end) < len(output))
+
+    n = 0
+    while clashes(str(n) if n else ""):
+        n += 1
+    return str(n) if n else ""
+
+
+_DELIM_PARTS = st.text(alphabet="<>a1\n", min_size=1, max_size=3)
+
+
+@given(st.one_of(
+           st.just(OutDelims("<", ">", "a", "a")),
+           st.builds(OutDelims, _DELIM_PARTS, _DELIM_PARTS, _DELIM_PARTS,
+                     _DELIM_PARTS)),
+       st.text(alphabet="<>a0123\n", max_size=30))
+def test_choose_infix_matches_its_reference(delims, output):
+    assert choose_infix(output, delims) == _reference_infix(output, delims)
+
+
+def test_choose_infix_is_linear_in_clashing_infixes():
+    output = "".join(f"#{n or ''}-" for n in range(20_000))
+    started = time.perf_counter()
+    assert choose_infix(output, HASH) == "20000"
+    assert time.perf_counter() - started < 0.5
 
 
 # --- indent_output ---------------------------------------------------------
