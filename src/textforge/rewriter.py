@@ -51,29 +51,36 @@ def choose_infix(output: str, delims: OutDelims) -> str:
     the scanner takes the first end marker after the begin marker, which
     must be the one appended after the output.
     """
+    marker = delims.end("")
+    if not (delims.begin("").rstrip("\n") in output
+            or marker.rstrip("\n") in output) and _clears_tail(output, marker):
+        return ""
     # Numbered infixes of up to `width` digits are looked up among those
     # found in one scan of the output per marker shape. Passing them all
-    # takes 10**width - 1 clashes, more than the output holds markers; the
-    # empty infix and any longer one are checked against the output itself.
+    # takes 10**width - 1 clashes, more than the output holds markers; a
+    # longer infix is checked against the output itself.
     width = len(str(len(output))) + 1
     taken = (_digits_between(output, delims.b1, delims.b2.rstrip("\n"), width)
              | _digits_between(output, delims.e1, delims.e2.rstrip("\n"), width))
-    n = 0
+    n = 1
     while True:
-        infix = str(n) if n else ""
+        infix = str(n)
         marker = delims.end(infix)
-        if 0 < len(infix) <= width:
+        if len(infix) <= width:
             clash = infix in taken
         else:
             clash = (delims.begin(infix).rstrip("\n") in output
                      or marker.rstrip("\n") in output)
-        if not clash:
-            # Only an end marker that starts in the output's last
-            # len(marker) - 1 characters can overlap its tail.
-            tail = output[max(0, len(output) - len(marker) + 1):]
-            if (tail + marker).find(marker) == len(tail):
-                return infix
+        if not clash and _clears_tail(output, marker):
+            return infix
         n += 1
+
+
+def _clears_tail(output: str, marker: str) -> bool:
+    """Whether `marker` appended to `output` is first found there; only one
+    starting in the output's last len(marker) - 1 characters can overlap."""
+    tail = output[max(0, len(output) - len(marker) + 1):]
+    return (tail + marker).find(marker) == len(tail)
 
 
 def _digits_between(output: str, prefix: str, suffix: str,
@@ -101,12 +108,17 @@ def indent_output(output: str, indent: str) -> str:
                      for line in output.split("\n"))
 
 
-def _substitute_template(template: str, captures: tuple[str, ...]) -> str:
-    def repl(m: re.Match) -> str:
-        idx = int(m.group(1)) - 1
-        return captures[idx] if idx < len(captures) else ""
+_CAPTURE_REF = re.compile(r"\$([1-9])")
 
-    return re.sub(r"\$([1-9])", repl, template)
+
+def _substitute_template(parts: list[str], captures: tuple[str, ...]) -> str:
+    """A regex hook's template, split by `_CAPTURE_REF` into `parts`, with
+    each `$N` replaced by capture N ("" past the last capture)."""
+    out = parts[:]
+    for k in range(1, len(parts), 2):
+        i = int(parts[k]) - 1
+        out[k] = captures[i] if i < len(captures) else ""
+    return "".join(out)
 
 
 def _eval_snippet(seg: Snippet, state: EngineState) -> str:
@@ -191,6 +203,7 @@ def process_file(path: str, style: Style, *, out_path: str | None = None,
         source = text
 
         parts: list[str] = []
+        templates: dict[str, list[str]] = {}  # each split once
         for seg in iter_segments(text, state):
             if isinstance(seg, Outer):
                 parts.append(seg.text)
@@ -199,8 +212,11 @@ def process_file(path: str, style: Style, *, out_path: str | None = None,
             elif not replace:  # a regex-hook match stays as is
                 parts.append(seg.matched)
             else:
-                hook = state.hooks[seg.hook_index]
-                parts.append(_substitute_template(hook.template, seg.captures))
+                template = state.hooks[seg.hook_index].template
+                split = templates.get(template)
+                if split is None:
+                    split = templates[template] = _CAPTURE_REF.split(template)
+                parts.append(_substitute_template(split, seg.captures))
         new_text = "".join(parts)
         if crlf:
             new_text = new_text.replace("\n", "\r\n")

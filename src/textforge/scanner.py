@@ -43,6 +43,7 @@ PatternMatch = namedtuple("PatternMatch", "hook_index matched captures")
 Segment = Outer | Snippet | PatternMatch
 
 _BLANKS = re.compile("[ \t]*")
+_UNSEARCHED = (-1,)  # find_next_match's cache entry for a hook not searched
 
 
 def _search(text: str, hook: Hook, from_: int):
@@ -59,14 +60,17 @@ def _search(text: str, hook: Hook, from_: int):
     # Zero-width matches are skipped: they carry no text to rewrite and
     # would stall the scan. (re.search clamps pos to len(text) and keeps
     # reporting the final empty match, hence the bound.)
+    search = hook.regex.search
     at = from_
-    while at <= len(text):
-        m = hook.regex.search(text, at)
+    n = len(text)
+    while at <= n:
+        m = search(text, at)
         if m is None:
             return None
-        if m.end() > m.start():
-            return m.start(), m.end(), tuple(g or "" for g in m.groups()[:9])
-        at = m.start() + 1
+        start, end = m.span()
+        if end > start:
+            return start, end, m.groups("")[:9]
+        at = start + 1
     return None
 
 
@@ -85,12 +89,16 @@ def find_next_match(text: str, from_: int, hooks: list[Hook],
     best = None
     dangling: int | None = None  # earliest unterminated begin
 
-    for i, hook in enumerate(hooks):
-        found = cache.get(hook, (-1,))  # -1: not searched yet
-        if found is not None and found[0] < from_:
-            found = cache[hook] = _search(text, hook, from_)
-        if found is None:
+    i = -1
+    for hook in hooks:
+        i += 1
+        found = cache.get(hook, _UNSEARCHED)
+        if found is None:  # absent from the rest of the text
             continue
+        if found[0] < from_:
+            found = cache[hook] = _search(text, hook, from_)
+            if found is None:
+                continue
         start, end, captures = found
         if end is None:
             if dangling is None or start < dangling:
@@ -183,16 +191,10 @@ def iter_segments(text: str, state: EngineState) -> Iterator[Segment]:
             delims = state.out_delims
             existing = detect_output_block(text, end, delims)
             code_offset = start + len(hook.begin)
-            yield Snippet(
-                raw=text[start:end],
-                code=text[code_offset:end - len(hook.end)],
-                code_offset=code_offset,
-                indent=indent + run,
-                starts_line=blank and not run,
-                existing_output=existing,
-                out_delims=delims,
-                indent_adjust=state.indent_adjust,
-            )
+            yield Snippet(text[start:end],
+                          text[code_offset:end - len(hook.end)], code_offset,
+                          indent + run, blank and not run, existing, delims,
+                          state.indent_adjust)
         else:
             yield PatternMatch(index, text[start:end], captures)
         indent, blank = _line(text, start, end, indent, blank)

@@ -244,6 +244,8 @@ class _Parser:
             var_kind, name, var_at = self.t = self.tokens[self.pos]
             if var_kind != "var":
                 raise ParseError("expected a loop variable after 'for'", at=var_at)
+            if name == "O":  # it could never be read: $O reads the output
+                raise ParseError("$O cannot be a loop variable", at=var_at)
             self.pos += 1
             self.t = self.tokens[self.pos]
             if self.t[1] != "in" or self.t[0] != "ident":

@@ -20,8 +20,8 @@ this file states the rule it checks:
 - unknown functions and wrong arity fail when the call runs, before its
   arguments are evaluated;
 - a builtin's own error points at the call's name;
-- a `for` binds its variable in the scope under its name, even `$O`,
-  which no read sees, since `$O` always reads the output.
+- `for $O` is a parse error at the variable, since `$O` always reads the
+  output and a loop variable of that name could never be read.
 """
 from __future__ import annotations
 
@@ -209,6 +209,8 @@ class _Parser:
             if var_kind != "var":
                 raise ParseError("expected a loop variable after 'for'",
                                  at=var_at)
+            if name == "O":
+                raise ParseError("$O cannot be a loop variable", at=var_at)
             if not self.is_word("in"):
                 raise ParseError("expected 'in' in for statement",
                                  at=self.peek()[2])

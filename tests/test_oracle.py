@@ -178,6 +178,19 @@ def test_drawn_programs_run_as_the_reference_says(doc, source, budgets,
     _check(source, doc, budgets, scope)
 
 
+# `for $O` fails the whole program's parse, so the draw above leaves it out
+# and this property puts it, nested or not, between drawn programs.
+@settings(max_examples=100, deadline=None)
+@given(before=_PROGRAMS, after=_PROGRAMS, nest=st.booleans(),
+       items=st.sampled_from(_GLOBS), budgets=_BUDGETS, scope=_SCOPES)
+def test_for_output_fails_as_the_reference_says(doc, before, after, nest,
+                                                items, budgets, scope):
+    loop = "for $O in %s { echo $O; }" % items
+    if nest:
+        loop = "if (1) { %s }" % loop
+    _check("\n".join([before, loop, after]), doc, budgets, scope)
+
+
 _SOUP = st.sampled_from([
     "$a", "$O", "$", "=", "echo", "if", "else", "for", "in", "(", ")", "{",
     "}", "?", ":", ".", ",", ";", "==", "!=", "<", ">", "!", "'x'", '"y"',

@@ -1,4 +1,5 @@
 import os
+import re
 import stat as statmod
 import tempfile
 import time
@@ -45,6 +46,11 @@ def test_prepare_code_mixed_lines():
     assert strip_line_comments(code, "//")[0] == " $a = 1;\n $b = 2;\n$c = 3;\nplain\n"
 
 
+def test_prepare_code_of_one_line_counts_what_it_strips():
+    assert strip_line_comments("  $x = 1;", "#") == ("  $x = 1;", [0])
+    assert strip_line_comments(" \t# $x = 1;", "#") == (" $x = 1;", [3])
+
+
 def test_prepare_code_without_line_comment_is_identity():
     assert strip_line_comments("# anything\n", None)[0] == "# anything\n"
 
@@ -62,6 +68,16 @@ def test_prepare_code_makes_commented_ternary_parse():
 
 def test_choose_infix_no_conflict():
     assert choose_infix('System.out.println(...);\n', JAVA) == ""
+
+
+def test_choose_infix_of_output_free_of_the_fence_is_empty():
+    assert choose_infix("Section 1: word &lt;42>\n", HASH) == ""
+
+
+def test_choose_infix_checks_the_tail_of_output_free_of_the_fence():
+    # Neither "<>" nor "aaa" occurs in "xa", but "aaa" appended to it would
+    # first be found one character early.
+    assert choose_infix("xa", OutDelims("<", ">", "aa", "a")) == "1"
 
 
 def test_choose_infix_plain_conflict():
@@ -123,6 +139,21 @@ def test_choose_infix_is_linear_in_clashing_infixes():
     started = time.perf_counter()
     assert choose_infix(output, HASH) == "20000"
     assert time.perf_counter() - started < 0.5
+
+
+# --- regex-hook templates -------------------------------------------------
+
+@given(st.lists(st.sampled_from(["$0", "$1", "$2", "$9", "$10", "$$1", "$",
+                                 "a", "-"]), max_size=8).map("".join),
+       st.lists(st.text("xy", max_size=2), max_size=9).map(tuple))
+def test_substitute_template_matches_re_sub(template, captures):
+    def repl(m):
+        i = int(m.group(1)) - 1
+        return captures[i] if i < len(captures) else ""
+
+    parts = rewriter._CAPTURE_REF.split(template)
+    assert (rewriter._substitute_template(parts, captures)
+            == re.sub(r"\$([1-9])", repl, template))
 
 
 # --- indent_output ---------------------------------------------------------

@@ -145,6 +145,30 @@ def test_find_matches_brute_force_oracle(text, from_):
     assert got == _oracle_find(text, from_, hooks)
 
 
+def _reference_search(text, regex, from_):
+    """scanner._search for a regex hook, as first written."""
+    at = from_
+    while at <= len(text):
+        m = regex.search(text, at)
+        if m is None:
+            return None
+        if m.end() > m.start():
+            return m.start(), m.end(), tuple(g or "" for g in m.groups()[:9])
+        at = m.start() + 1
+    return None
+
+
+# Zero-width matches, lazy and empty alternatives, word boundaries, a group
+# that does not take part, and more than nine groups.
+@given(st.sampled_from(["q*", "|a", "a*?", "a??", r"\bx", "(a)(q)?",
+                        "(a)" + "(q)?" * 9]),
+       st.text(alphabet="aqx \n", max_size=30), st.integers(0, 32))
+def test_search_matches_its_reference(pattern, text, from_):
+    regex = re.compile(pattern)
+    assert (scanner._search(text, Pattern(regex, ""), from_)
+            == _reference_search(text, regex, from_))
+
+
 # --- detect_output_block -------------------------------------------------
 
 def test_detect_plain_block():

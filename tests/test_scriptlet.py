@@ -198,6 +198,15 @@ def test_parse_for_requires_variable():
         parse_scriptlet("for x in glob('*') { }")
 
 
+def test_parse_rejects_output_as_loop_variable():
+    # $O always reads the output, so a loop variable of that name could
+    # never be read.
+    with pytest.raises(ParseError) as exc:
+        parse_scriptlet("$l = 'ab'; for $O in glob('*') { echo $O; }")
+    assert (exc.value.message, exc.value.at) == (
+        "$O cannot be a loop variable", 15)
+
+
 def test_parse_unterminated_block():
     with pytest.raises(ParseError) as exc:
         parse_scriptlet("if (1) { echo 'x';")
