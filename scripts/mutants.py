@@ -4,9 +4,10 @@
     python3 scripts/mutants.py
 
 Each mutant is one exact text replacement in a module under src/textforge/,
-a fault that the example tests alone do not catch, and names the test module
-that must catch it: the differential scriptlet oracle, or a property that
-holds a fast path to its reference. For each, src/ and tests/ are copied to
+a fault in a fast path or an offset mapping that the goldens alone do not
+catch, and names the test module that must catch it: the differential
+scriptlet oracle, a property that holds a fast path to its reference, or a
+test aimed at the boundary the fault moves. For each, src/ and tests/ are copied to
 a fresh temporary directory, the replacement is applied, and the mutant's
 test module runs against the copy. The unmutated copy runs every named test
 module first and must pass. Exits 0 when every mutant is caught, 1 when one
@@ -55,6 +56,14 @@ MUTANTS = {
         "rewriter.py", "test_rewriter.py",
         "i = int(parts[k]) - 1",
         "i = int(parts[k])"),
+    "the snippet error mapping splits one line too far": (
+        "rewriter.py", "test_rewriter.py",
+        'len(seg.code.rsplit("\\n", after)[0])',
+        'len(seg.code.rsplit("\\n", after + 1)[0])'),
+    "the end reuse ignores the end delimiter's length": (
+        "scanner.py", "test_scanner.py",
+        "code <= last[1] - len(hook.end)",
+        "code <= last[1]"),
 }
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import gc
 import sys
+from collections import namedtuple
 
 from .core import EngineError, UsageError
 from .rewriter import process_file
@@ -24,56 +25,45 @@ from .styles import STYLES, detect_style
 USAGE = "usage: textforge [-replace] [-o=PATH] [-e=CODE] [-style=NAME] FILE..."
 
 
-class CliOptions:
-    __slots__ = ("out_path", "init_code", "style_override", "files")
-
-    def __init__(self):
-        self.out_path: str | None = None
-        self.init_code: str | None = None
-        self.style_override: str | None = None
-        self.files: list[str] = []
+_Options = namedtuple("Options", "files out_path init_code style")
 
 
-def parse_args(argv: list[str]) -> CliOptions:
-    """Parse command-line arguments; raises UsageError on bad invocations.
-    The result has an `out_path` exactly when -replace was given."""
-    opts = CliOptions()
+def parse_args(argv: list[str]):
+    """Parse command-line arguments into files, out_path, init_code and the
+    `Style` that -style names (or None); raises UsageError on bad ones. The
+    result has an `out_path` exactly when -replace was given."""
+    files: list[str] = []
+    out_path = init_code = style = None
     replace = False
     for arg in argv:
         if arg == "-replace":
             replace = True
         elif arg.startswith("-o="):
-            opts.out_path = arg[3:]
+            out_path = arg[3:]
         elif arg.startswith("-e="):
-            opts.init_code = arg[3:]
+            init_code = arg[3:]
         elif arg.startswith("-style="):
-            opts.style_override = arg[7:]
+            style = STYLES.get(arg[7:])
+            if style is None:
+                known = ", ".join(sorted(STYLES))
+                raise UsageError(f"unknown style '{arg[7:]}' (known: {known})")
         elif arg.startswith("-") and arg != "-":
             raise UsageError(f"unknown option: {arg}")
         else:
-            opts.files.append(arg)
-    if not opts.files:
+            files.append(arg)
+    if not files:
         raise UsageError("no input files")
-    if replace and not opts.out_path:
+    if replace and not out_path:
         raise UsageError("-replace requires -o=PATH")
-    if opts.out_path is not None and not replace:
+    if out_path is not None and not replace:
         raise UsageError("-o is only valid together with -replace")
-    if opts.out_path and len(opts.files) > 1:
+    if out_path and len(files) > 1:
         raise UsageError("-o cannot be used with multiple input files")
-    return opts
+    return _Options(files, out_path, init_code, style)
 
 
-def run(opts: CliOptions) -> int:
+def run(opts) -> int:
     """Process every file; returns the process exit code."""
-    override = None
-    if opts.style_override is not None:
-        override = STYLES.get(opts.style_override)
-        if override is None:
-            known = ", ".join(sorted(STYLES))
-            print(f"textforge: unknown style '{opts.style_override}' "
-                  f"(known: {known})", file=sys.stderr)
-            return 2
-
     # The cyclic collector is paused for the run, as Mercurial's util.nogc
     # does: compiled programs, $O pieces and scanner segments hold no
     # reference cycles, so reference counting frees them as each snippet and
@@ -84,7 +74,7 @@ def run(opts: CliOptions) -> int:
         status = 0
         for path in opts.files:
             try:
-                process_file(path, override or detect_style(path),
+                process_file(path, opts.style or detect_style(path),
                              out_path=opts.out_path, init_code=opts.init_code)
             except EngineError as exc:
                 print(exc.diagnostic(), file=sys.stderr)

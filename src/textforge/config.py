@@ -57,10 +57,3 @@ def exec_conf_chain(chain: tuple[str, ...], state: EngineState) -> None:
     finally:
         state.base_dir = saved_base
 
-
-def load_for_state(state: EngineState) -> None:
-    """Entry point used by the read_starfish_conf builtin: idempotent per file."""
-    if state.conf_loaded:
-        return
-    start = os.path.dirname(os.path.abspath(state.file_path))
-    exec_conf_chain(find_conf_chain(start), state)

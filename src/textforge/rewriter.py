@@ -18,28 +18,23 @@ from .scanner import Outer, Snippet, iter_segments
 from .scriptlet import eval_program, parse_scriptlet
 
 
-def strip_line_comments(code: str, line_comment: str | None) -> tuple[str, list[int]]:
+def strip_line_comments(code: str, line_comment: str | None) -> str:
     """Strip the style's line-comment prefix from commented snippet lines.
 
     A line whose first non-whitespace characters equal `line_comment` loses
     the comment string and the whitespace before it; everything after stays,
     so multi-line scriptlets written inside host-language comments parse as
-    one program. Also returns, per line, how many characters were removed
-    from its start, so error positions map back to the file.
+    one program. Text goes only from the start of a line, so an offset into
+    the result is as far from the end of its line as in `code`.
     """
     if not line_comment:
-        return code, []
+        return code
     out = []
-    removed = []
     for line in code.split("\n"):
         body = line.lstrip(" \t")
-        if body.startswith(line_comment):
-            out.append(body[len(line_comment):])
-            removed.append(len(line) - len(body) + len(line_comment))
-        else:
-            out.append(line)
-            removed.append(0)
-    return "\n".join(out), removed
+        out.append(body[len(line_comment):] if body.startswith(line_comment)
+                   else line)
+    return "\n".join(out)
 
 
 def choose_infix(output: str, delims: OutDelims) -> str:
@@ -56,22 +51,17 @@ def choose_infix(output: str, delims: OutDelims) -> str:
             or marker.rstrip("\n") in output) and _clears_tail(output, marker):
         return ""
     # Numbered infixes of up to `width` digits are looked up among those
-    # found in one scan of the output per marker shape. Passing them all
-    # takes 10**width - 1 clashes, more than the output holds markers; a
-    # longer infix is checked against the output itself.
+    # found in one scan of the output per marker shape. At most one infix of
+    # exactly `width` digits clashes per place a marker shape can start in
+    # the output and per length of overlap with its tail, 3 * len(output) in
+    # all, fewer than the 9 * 10**(width - 1) there are, so none is longer.
     width = len(str(len(output))) + 1
     taken = (_digits_between(output, delims.b1, delims.b2.rstrip("\n"), width)
              | _digits_between(output, delims.e1, delims.e2.rstrip("\n"), width))
     n = 1
     while True:
         infix = str(n)
-        marker = delims.end(infix)
-        if len(infix) <= width:
-            clash = infix in taken
-        else:
-            clash = (delims.begin(infix).rstrip("\n") in output
-                     or marker.rstrip("\n") in output)
-        if not clash and _clears_tail(output, marker):
+        if infix not in taken and _clears_tail(output, delims.end(infix)):
             return infix
         n += 1
 
@@ -125,14 +115,17 @@ def _eval_snippet(seg: Snippet, state: EngineState) -> str:
     """Run one snippet. An error's offset into the stripped code becomes its
     offset into the scanned text; one without an offset points at the start
     of the code, and one from a conf is left alone."""
-    prepared, removed = strip_line_comments(seg.code, state.line_comment)
+    code = strip_line_comments(seg.code, state.line_comment)
     try:
-        return eval_program(parse_scriptlet(prepared), state)
+        return eval_program(parse_scriptlet(code), state)
     except EngineError as exc:
         if exc.file is None:
+            # Stripping keeps each offset's distance to its line's end.
             at = exc.at or 0
-            line = prepared.count("\n", 0, at)
-            exc.at = seg.code_offset + at + sum(removed[:line + 1])
+            after = code.count("\n", at)
+            exc.at = (seg.code_offset + at
+                      + len(seg.code.rsplit("\n", after)[0])
+                      - len(code.rsplit("\n", after)[0]))
         raise
 
 
@@ -212,7 +205,7 @@ def process_file(path: str, style: Style, *, out_path: str | None = None,
             elif not replace:  # a regex-hook match stays as is
                 parts.append(seg.matched)
             else:
-                template = state.hooks[seg.hook_index].template
+                template = seg.template
                 split = templates.get(template)
                 if split is None:
                     split = templates[template] = _CAPTURE_REF.split(template)

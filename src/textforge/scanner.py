@@ -37,25 +37,31 @@ Outer = namedtuple("Outer", "text")
 Snippet = namedtuple("Snippet", "raw code code_offset indent starts_line "
                      "existing_output out_delims indent_adjust")
 
-# Text matched by a regex hook, with its capture groups.
-PatternMatch = namedtuple("PatternMatch", "hook_index matched captures")
+# Text matched by a regex hook, its capture groups and the hook's template.
+PatternMatch = namedtuple("PatternMatch", "template matched captures")
 
 Segment = Outer | Snippet | PatternMatch
 
 _BLANKS = re.compile("[ \t]*")
-_UNSEARCHED = (-1,)  # find_next_match's cache entry for a hook not searched
+_UNSEARCHED = (-1, -1, ())  # find_next_match's entry for a hook not searched
 
 
-def _search(text: str, hook: Hook, from_: int):
+def _search(text: str, hook: Hook, from_: int, last: tuple = _UNSEARCHED):
     """(start, end, captures) of the first match of `hook` at or after
     `from_`, with end None for a begin delimiter that is never terminated;
     None if there is none. It depends on (text, hook) only, so it stays the
-    answer for every later `from_` up to its start."""
+    answer for every later `from_` up to its start. `last` is the hook's
+    previous answer, if any; it starts before `from_`."""
     if isinstance(hook, BeginEnd):
         b = text.find(hook.begin, from_)
         if b < 0:
             return None
-        e = text.find(hook.end, b + len(hook.begin))
+        code = b + len(hook.begin)
+        # The last begin's end is the first end after its code, or there is
+        # none; so it is this begin's too when this code starts no later.
+        if last[1] is None or code <= last[1] - len(hook.end):
+            return b, last[1], ()
+        e = text.find(hook.end, code)
         return b, (e + len(hook.end) if e >= 0 else None), ()
     # Zero-width matches are skipped: they carry no text to rewrite and
     # would stall the scan. (re.search clamps pos to len(text) and keeps
@@ -96,7 +102,7 @@ def find_next_match(text: str, from_: int, hooks: list[Hook],
         if found is None:  # absent from the rest of the text
             continue
         if found[0] < from_:
-            found = cache[hook] = _search(text, hook, from_)
+            found = cache[hook] = _search(text, hook, from_, found)
             if found is None:
                 continue
         start, end, captures = found
@@ -196,7 +202,7 @@ def iter_segments(text: str, state: EngineState) -> Iterator[Segment]:
                           indent + run, blank and not run, existing, delims,
                           state.indent_adjust)
         else:
-            yield PatternMatch(index, text[start:end], captures)
+            yield PatternMatch(hook.template, text[start:end], captures)
         indent, blank = _line(text, start, end, indent, blank)
         pos = end
         if existing is not None:

@@ -259,10 +259,8 @@ class _Parser:
         return expr
 
     def block(self):
+        # Its `if`/`for` expression has checked the depth; inner ones count it.
         self.depth += 1
-        if self.depth > MAX_NESTING:
-            raise ParseError(f"nesting deeper than {MAX_NESTING} levels",
-                             at=self.t[2])
         self.expect_op("{")
         stmts = []
         while self.t[1] != "}" or self.t[0] != "op":
@@ -561,9 +559,9 @@ def _file_modification_date(state: EngineState) -> str:
 
 
 def _read_starfish_conf(state: EngineState) -> str:
-    from . import config  # imported late: config executes scriptlets
-
-    config.load_for_state(state)
+    if not state.conf_loaded:  # then no conf runs: base_dir is the file's
+        from . import config  # imported late: config executes scriptlets
+        config.exec_conf_chain(config.find_conf_chain(state.base_dir), state)
     return ""
 
 
@@ -615,6 +613,8 @@ def _glob(state: EngineState, pattern: Value) -> list:
     base, pat = state.base_dir, stringify(pattern)
     found = state.globs.get((base, pat))
     if found is None:
+        if "/" in pat or os.sep in pat:  # one directory is listed, not a tree
+            raise EvalError("glob() pattern may not contain a path separator")
         names = state.listings.get(base)
         if names is None:
             names = state.listings[base] = sorted(os.listdir(base))

@@ -10,6 +10,7 @@ import pytest
 import goldens
 from textforge.cli import USAGE, main, parse_args
 from textforge.core import UsageError
+from textforge.styles import STYLES
 
 
 # --- argument parsing -------------------------------------------------------
@@ -19,7 +20,7 @@ def test_parse_plain_update():
     assert opts.files == ["simple.java"]
     assert opts.out_path is None
     assert opts.init_code is None
-    assert opts.style_override is None
+    assert opts.style is None
 
 
 def test_parse_replace_with_output():
@@ -31,7 +32,7 @@ def test_parse_replace_with_output():
 def test_parse_init_code_and_style():
     opts = parse_args(["-e=$Version = 'Release';", "-style=java", "Makefile"])
     assert opts.init_code == "$Version = 'Release';"
-    assert opts.style_override == "java"
+    assert opts.style is STYLES["java"]
 
 
 def test_parse_lone_dash_is_a_file():
@@ -63,6 +64,18 @@ def test_main_unknown_style(tmp_path, capsys):
     f.write_text("plain")
     assert main([f"-style=klingon", str(f)]) == 2
     assert "unknown style 'klingon'" in capsys.readouterr().err
+
+
+def test_main_unknown_style_is_a_usage_error(tmp_path, capsys):
+    with pytest.raises(UsageError):
+        parse_args(["-style=klingon", "x.txt"])
+    f = tmp_path / "x.txt"
+    f.write_text("<? echo 'x'; !>")
+    assert main(["-style=klingon", str(f)]) == 2
+    known = ", ".join(sorted(STYLES))
+    assert capsys.readouterr().err == (
+        f"textforge: unknown style 'klingon' (known: {known})\n{USAGE}\n")
+    assert f.read_text() == "<? echo 'x'; !>"
 
 
 # --- end-to-end runs ----------------------------------------------------------
@@ -209,6 +222,20 @@ def test_main_leaves_no_reference_cycles_behind(tmp_path, capsys):
         if was:
             gc.enable()
     capsys.readouterr()
+
+
+def test_main_reports_a_glob_pattern_with_a_slash(tmp_path, capsys):
+    # glob() lists one directory; a pattern reaching into another would
+    # match nothing there and pass unnoticed.
+    (tmp_path / "data").mkdir()
+    (tmp_path / "data" / "a.csv").write_text("")
+    f = tmp_path / "t.txt"
+    source = "csv:\n<? echo join(' ', glob('data/*.csv')); !>\n"
+    f.write_text(source)
+    assert main([str(f)]) == 1
+    assert capsys.readouterr().err == (
+        f"{f}:2:19: glob() pattern may not contain a path separator\n")
+    assert f.read_text() == source
 
 
 def test_main_reports_missing_file(tmp_path, capsys):

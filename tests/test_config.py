@@ -7,7 +7,6 @@ from textforge.config import (
     CONF_NAME,
     exec_conf_chain,
     find_conf_chain,
-    load_for_state,
 )
 from textforge.core import EvalError, ParseError
 from textforge.rewriter import process_file
@@ -116,20 +115,23 @@ def test_exec_empty_chain_changes_nothing(tmp_path):
     assert state.conf_loaded is True
 
 
-# --- load_for_state ---------------------------------------------------------
+# --- the read_starfish_conf() builtin --------------------------------------
+
+READ_CONF = parse_scriptlet("read_starfish_conf();")
+
 
 def test_load_runs_once_per_file(tmp_path):
     _conf(tmp_path, "$n = 'fresh';")
     state = make_state(path=str(tmp_path / "f.txt"))
-    load_for_state(state)
+    eval_program(READ_CONF, state)
     assert state.scope["n"] == "fresh"
     state.scope["n"] = "changed"
-    load_for_state(state)  # second call must not re-execute the conf
+    eval_program(READ_CONF, state)  # second call must not re-execute the conf
     assert state.scope["n"] == "changed"
 
 
 def test_load_uses_the_processed_files_directory(tmp_path):
     _conf(tmp_path / "posts", "$here = 'posts';")
     state = make_state(path=str(tmp_path / "posts" / "entry.txt"))
-    load_for_state(state)
+    eval_program(READ_CONF, state)
     assert state.scope["here"] == "posts"

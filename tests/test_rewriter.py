@@ -33,26 +33,26 @@ JAVA = OutDelims("//", "+\n", "//", "-\n")
 # --- strip_line_comments ---------------------------------------------------
 
 def test_prepare_code_strips_comment_prefix():
-    assert strip_line_comments("#   echo 'a';\n#   echo 'b';\n", "#")[0] == \
+    assert strip_line_comments("#   echo 'a';\n#   echo 'b';\n", "#") == \
         "   echo 'a';\n   echo 'b';\n"
 
 
 def test_prepare_code_leaves_plain_lines():
-    assert strip_line_comments("$x = 1;", "#")[0] == "$x = 1;"
+    assert strip_line_comments("$x = 1;", "#") == "$x = 1;"
 
 
 def test_prepare_code_mixed_lines():
     code = " $a = 1;\n    // $b = 2;\n//$c = 3;\nplain\n"
-    assert strip_line_comments(code, "//")[0] == " $a = 1;\n $b = 2;\n$c = 3;\nplain\n"
+    assert strip_line_comments(code, "//") == " $a = 1;\n $b = 2;\n$c = 3;\nplain\n"
 
 
 def test_prepare_code_of_one_line_counts_what_it_strips():
-    assert strip_line_comments("  $x = 1;", "#") == ("  $x = 1;", [0])
-    assert strip_line_comments(" \t# $x = 1;", "#") == (" $x = 1;", [3])
+    assert strip_line_comments("  $x = 1;", "#") == "  $x = 1;"
+    assert strip_line_comments(" \t# $x = 1;", "#") == " $x = 1;"
 
 
 def test_prepare_code_without_line_comment_is_identity():
-    assert strip_line_comments("# anything\n", None)[0] == "# anything\n"
+    assert strip_line_comments("# anything\n", None) == "# anything\n"
 
 
 def test_prepare_code_makes_commented_ternary_parse():
@@ -61,7 +61,20 @@ def test_prepare_code_makes_commented_ternary_parse():
             "    // 'System.out.println(\"Release version\");' );\n"
             "    //")
     from textforge.scriptlet import parse_scriptlet
-    parse_scriptlet(strip_line_comments(code, "//")[0])  # must not raise
+    parse_scriptlet(strip_line_comments(code, "//"))  # must not raise
+
+
+@pytest.mark.parametrize("bad", range(4))
+def test_snippet_errors_map_back_through_stripped_prefixes(tmp_path, bad):
+    lines = ["  # $a = 1;", "\t#   echo $a;", "  $b = 2;", "#echo $a;"]
+    lines[bad] = lines[bad].replace(";", " . $zz;")
+    text = "x = 1\n#<?" + "\n".join(lines) + "\n#!>\n"
+    f = tmp_path / "x.py"
+    f.write_text(text)
+    with pytest.raises(EvalError) as exc:
+        process_file(str(f), STYLES["python"])
+    assert exc.value.message == "undefined variable $zz"
+    assert (exc.value.line, exc.value.col) == line_col(text, text.index("$zz"))
 
 
 # --- choose_infix ----------------------------------------------------------
@@ -555,6 +568,40 @@ def test_write_if_changed_leaves_no_temp_files(tmp_path):
     write_if_changed(str(f), "new")
     write_if_changed(str(f), "new")
     assert os.listdir(tmp_path) == ["a.txt"]
+
+
+def test_write_if_changed_cleans_up_when_the_rename_fails(tmp_path,
+                                                          monkeypatch):
+    f = tmp_path / "a.txt"
+    f.write_text("old")
+    before = os.stat(f).st_ino
+
+    def refuse(src, dst):
+        assert os.path.basename(src).startswith(".textforge-")
+        raise PermissionError(13, "Permission denied", src)
+
+    monkeypatch.setattr(rewriter.os, "replace", refuse)
+    with pytest.raises(PermissionError) as exc:
+        write_if_changed(str(f), "new")
+    assert exc.value.filename == str(f)
+    assert os.listdir(tmp_path) == ["a.txt"]
+    assert f.read_text() == "old"
+    assert os.stat(f).st_ino == before
+
+
+def test_write_if_changed_draws_another_temp_name_when_one_exists(
+        tmp_path, monkeypatch):
+    f = tmp_path / "a.txt"
+    f.write_text("old")
+    taken = tmp_path / (".textforge-" + bytes(6).hex())
+    taken.write_text("someone else's")
+    draws = iter([bytes(6), b"\x01" * 6])  # the first name is taken
+    monkeypatch.setattr(rewriter.os, "urandom", lambda n: next(draws))
+    assert write_if_changed(str(f), "new") is True
+    assert f.read_text() == "new"
+    assert taken.read_text() == "someone else's"
+    assert sorted(os.listdir(tmp_path)) == [taken.name, "a.txt"]
+    assert next(draws, None) is None
 
 
 def test_replace_creates_its_target_under_the_umask(tmp_path):

@@ -304,7 +304,7 @@ def test_scan_pattern_segment():
     state = make_state()
     state.hooks.append(Pattern(re.compile(r"v(\d+)"), "$1"))
     segs = list(iter_segments("see v42 here", state))
-    assert segs[1] == PatternMatch(2, "v42", ("42",))
+    assert segs[1] == PatternMatch("$1", "v42", ("42",))
 
 
 def test_scan_propagates_unterminated_output_position():
@@ -351,9 +351,9 @@ def test_scan_searches_an_inert_hook_once(monkeypatch):
     searched = []
     search = scanner._search
 
-    def counting(text, hook, from_):
+    def counting(text, hook, from_, *rest):
         searched.append(hook)
-        return search(text, hook, from_)
+        return search(text, hook, from_, *rest)
 
     monkeypatch.setattr(scanner, "_search", counting)
     text = "<? add_hook('[[', ']]'); !>\n" + "line <? $v = 1; !>\n" * 199
@@ -398,6 +398,10 @@ _FRAGMENTS = st.sampled_from([
     "//<? set_style('default'); !>",
     "<? echo 'x'; !>",
     "<? $v = '[['; !>",
+    # Begin delimiters with their end far away or nowhere, and a pair whose
+    # begin can end inside its end delimiter ("abc").
+    "<? echo '[[[['; !>", "<? add_hook('ab', 'bc'); !>", "<? $v = 'ab'; !>",
+    "abc", "bc",
 ])
 
 
@@ -411,6 +415,33 @@ def test_scan_cache_agrees_with_fresh_searches(text):
     with mock.patch.object(scanner, "find_next_match", uncached):
         fresh = _run_snippets(text, make_state())
     assert cached == fresh
+
+
+def test_scan_reuses_an_end_only_for_code_that_starts_before_it():
+    # The first "ab" (inside a snippet) ends at the "bc" of "abc"; the "ab"
+    # of "abc" overlaps that "bc", so its code starts after that end's start
+    # and it is never terminated.
+    text = "<? add_hook('ab', 'bc'); !><? $v = 'ab'; !>abc"
+    segs, error = _run_snippets(text, make_state())
+    assert error == (UnterminatedSnippetError, len(text) - 3,
+                     "snippet begin delimiter is never terminated")
+    state = make_state()
+    state.hooks.append(BeginEnd("ab", "bc"))
+    segs = list(iter_segments("<? ab !>ab bc<? ab !><? ab !>", state))
+    assert [seg.raw for seg in segs if isinstance(seg, Snippet)] == \
+        ["<? ab !>", "ab bc", "<? ab !>", "<? ab !>"]
+
+
+@pytest.mark.parametrize("tail", ["", "]]"])
+def test_scan_of_begin_delimiters_far_from_an_end_is_linear(tail):
+    # Searching for the end again after each "[[" took about 4 s here.
+    state = make_state()
+    state.hooks.append(BeginEnd("[[", "]]"))
+    text = "<? echo '[['; !>" * 20_000 + tail
+    started = time.perf_counter()
+    segs = list(iter_segments(text, state))
+    assert time.perf_counter() - started < 2
+    assert len(segs) == 20_000 + bool(tail)
 
 
 # --- the source line: its indent is carried forward, never re-read ---------

@@ -198,6 +198,13 @@ def test_parse_for_requires_variable():
         parse_scriptlet("for x in glob('*') { }")
 
 
+def test_parse_for_requires_in():
+    with pytest.raises(ParseError) as exc:
+        parse_scriptlet("for $x glob('*') {}")
+    assert (exc.value.message, exc.value.at) == (
+        "expected 'in' in for statement", 7)
+
+
 def test_parse_rejects_output_as_loop_variable():
     # $O always reads the output, so a loop variable of that name could
     # never be read.
@@ -554,3 +561,11 @@ def test_set_out_delimiters_rejects_empty_part():
     with pytest.raises(EvalError):
         run("set_out_delimiters('a', '', 'c', 'd');")
 
+
+def test_set_out_delimiters_rejects_an_empty_b1():
+    state = make_state()
+    with pytest.raises(EvalError) as exc:
+        run("$x = 1; set_out_delimiters('', 'b', 'c', 'd');", state)
+    assert (exc.value.message, exc.value.at) == (
+        "set_out_delimiters() needs four non-empty strings", 8)
+    assert state.out_delims == make_state().out_delims
