@@ -64,6 +64,19 @@ MUTANTS = {
         "scanner.py", "test_scanner.py",
         "code <= last[1] - len(hook.end)",
         "code <= last[1]"),
+    "_run_snippet reads the fence after the snippet runs": (
+        "rewriter.py", "test_rewriter.py",
+        "    if indent_adjust and seg.indent:\n",
+        "    delims, indent_adjust = state.out_delims, state.indent_adjust\n"
+        "    if indent_adjust and seg.indent:\n"),
+    "find_next_match keeps the later hook on a full tie": (
+        "scanner.py", "test_scanner.py",
+        "end < best[2]",
+        "end <= best[2]"),
+    "the regular-file refusal is skipped": (
+        "rewriter.py", "test_cli.py",
+        "if stat.S_ISREG(os.fstat(fd).st_mode):",
+        "if True:"),
 }
 
 
@@ -102,8 +115,10 @@ def main() -> int:
         return 2
     survivors = []
     for name, (module, test, old, new) in MUTANTS.items():
+        began = time.monotonic()
         caught = not run_tests([test], module, old, new)
-        print(f"{'caught' if caught else 'SURVIVED'}: {name}")
+        print(f"{'caught' if caught else 'SURVIVED'}: {name} "
+              f"({time.monotonic() - began:.1f} s)")
         if not caught:
             survivors.append(name)
     print(f"mutants: {len(MUTANTS) - len(survivors)} of {len(MUTANTS)} caught "

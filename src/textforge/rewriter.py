@@ -14,7 +14,7 @@ import re
 import stat
 
 from .core import EngineError, EngineState, OutDelims, Style
-from .scanner import Outer, Snippet, iter_segments
+from .scanner import Snippet, iter_segments
 from .scriptlet import eval_program, parse_scriptlet
 
 
@@ -111,27 +111,12 @@ def _substitute_template(parts: list[str], captures: tuple[str, ...]) -> str:
     return "".join(out)
 
 
-def _eval_snippet(seg: Snippet, state: EngineState) -> str:
-    """Run one snippet. An error's offset into the stripped code becomes its
-    offset into the scanned text; one without an offset points at the start
-    of the code, and one from a conf is left alone."""
-    code = strip_line_comments(seg.code, state.line_comment)
-    try:
-        return eval_program(parse_scriptlet(code), state)
-    except EngineError as exc:
-        if exc.file is None:
-            # Stripping keeps each offset's distance to its line's end.
-            at = exc.at or 0
-            after = code.count("\n", at)
-            exc.at = (seg.code_offset + at
-                      + len(seg.code.rsplit("\n", after)[0])
-                      - len(code.rsplit("\n", after)[0]))
-        raise
-
-
-def _render_snippet(parts: list[str], seg: Snippet, out: str,
-                    replace: bool) -> None:
-    """Append one evaluated snippet to `parts`.
+def _run_snippet(parts: list[str], seg: Snippet, state: EngineState,
+                 replace: bool) -> None:
+    """Run one snippet and append it to `parts`, under the fence and indent
+    setting in effect before it ran (its own `set_out_delimiters()` cannot
+    re-fence it). An error's offset into the stripped code becomes one into
+    the scanned text, or the code's start if it has none; a conf's is kept.
 
     Update mode keeps the snippet verbatim and appends a fresh output block
     (nothing for empty output); the stale block it was scanned with is
@@ -141,9 +126,21 @@ def _render_snippet(parts: list[str], seg: Snippet, out: str,
     marker in update mode keeps a terminating newline, so both modes agree
     on line structure.
     """
-    if seg.indent_adjust and seg.indent:
+    delims, indent_adjust = state.out_delims, state.indent_adjust
+    code = strip_line_comments(seg.code, state.line_comment)
+    try:
+        out = eval_program(parse_scriptlet(code), state)
+    except EngineError as exc:
+        if exc.file is None:
+            # Stripping keeps each offset's distance to its line's end.
+            at = exc.at or 0
+            after = code.count("\n", at)
+            exc.at = (seg.code_offset + at
+                      + len(seg.code.rsplit("\n", after)[0])
+                      - len(code.rsplit("\n", after)[0]))
+        raise
+    if indent_adjust and seg.indent:
         out = indent_output(out, seg.indent)
-    delims = seg.out_delims
     if not replace:
         parts.append(seg.raw)
         if out:
@@ -179,9 +176,7 @@ def process_file(path: str, style: Style, *, out_path: str | None = None,
     replace = out_path is not None
     source = ""  # what the offset of an error points into
     try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-            st = os.fstat(fh.fileno())
+        data, st = _read_regular(path)
         if (replace and os.path.exists(out_path)
                 and os.path.samefile(out_path, path)):
             raise EngineError(f"refusing to write '{out_path}': it is the input")
@@ -198,10 +193,10 @@ def process_file(path: str, style: Style, *, out_path: str | None = None,
         parts: list[str] = []
         templates: dict[str, list[str]] = {}  # each split once
         for seg in iter_segments(text, state):
-            if isinstance(seg, Outer):
-                parts.append(seg.text)
+            if type(seg) is str:
+                parts.append(seg)
             elif isinstance(seg, Snippet):
-                _render_snippet(parts, seg, _eval_snippet(seg, state), replace)
+                _run_snippet(parts, seg, state, replace)
             elif not replace:  # a regex-hook match stays as is
                 parts.append(seg.matched)
             else:
@@ -222,6 +217,20 @@ def process_file(path: str, style: Style, *, out_path: str | None = None,
         raise
 
 
+def _read_regular(path: str) -> tuple[bytes, os.stat_result]:
+    """`path`'s bytes and stat result. Anything but a regular file is refused
+    unread; the open does not block, so a FIFO cannot hang the run."""
+    def opener(name: str, flags: int) -> int:
+        fd = os.open(name, flags | getattr(os, "O_NONBLOCK", 0))
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            return fd
+        os.close(fd)
+        raise EngineError(f"refusing to read '{path}': not a regular file")
+
+    with open(path, "rb", opener=opener) as fh:
+        return fh.read(), os.fstat(fh.fileno())
+
+
 def write_if_changed(path: str, text: str, current: bytes | None = None,
                      current_stat: os.stat_result | None = None) -> bool:
     """Write `text` to `path` atomically, but only when its bytes differ.
@@ -229,19 +238,17 @@ def write_if_changed(path: str, text: str, current: bytes | None = None,
     Identical content means no write at all, so timestamps survive untouched.
     A caller that already holds the target's bytes and stat result passes
     them as `current` and `current_stat`; otherwise the target is read here
-    (a missing target always differs). Updates go through a temp file in the
-    same directory followed by a rename; an existing file keeps its
-    permission bits. A symlink is written through: the file it resolves to
-    is replaced and the link stays. A target with more than one hard link
-    is refused with an EngineError when its bytes would change. A failed
-    write raises an OSError that names `path`.
+    (a missing target always differs; one not a regular file is refused).
+    Updates go through a temp file in the same directory followed by a
+    rename; an existing file keeps its permission bits. A symlink is written
+    through: the file it resolves to is replaced and the link stays. A
+    target with more than one hard link is refused with an EngineError when
+    its bytes would change. A failed write raises an OSError naming `path`.
     """
     data = text.encode("utf-8", "surrogateescape")
     if current is None:
         try:
-            with open(path, "rb") as fh:
-                current = fh.read()
-                current_stat = os.fstat(fh.fileno())
+            current, current_stat = _read_regular(path)
         except FileNotFoundError:
             pass
     if current == data:

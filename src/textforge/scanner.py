@@ -1,4 +1,5 @@
-"""Segmentation of input text into outer text, snippets, and hook matches.
+"""Segmentation of input text into segments: passthrough text (a `str`),
+snippets, and hook matches; each carries only what the scan found.
 
 Scanning is incremental: `iter_segments` is a generator that re-reads the
 state's hook list before every search, so a snippet that registers new hooks
@@ -23,24 +24,20 @@ from .core import (
 )
 
 
-# Text the engine passes through untouched.
-Outer = namedtuple("Outer", "text")
-
 # One begin/end-delimited scriptlet occurrence. raw spans begin through end
 # delimiter inclusive; code is the text between them, and code_offset where
 # that text starts in the scanned text. indent is the leading whitespace of
 # the source line holding the begin delimiter, and starts_line whether only
 # that whitespace precedes the delimiter (see `iter_segments`).
 # existing_output is the text of the output block that follows the snippet,
-# or None. out_delims/indent_adjust record the values in effect when the
-# snippet was scanned, so later retargeting cannot re-wrap earlier output.
+# read with the output delimiters in effect when the scan reached it, or None.
 Snippet = namedtuple("Snippet", "raw code code_offset indent starts_line "
-                     "existing_output out_delims indent_adjust")
+                     "existing_output")
 
 # Text matched by a regex hook, its capture groups and the hook's template.
 PatternMatch = namedtuple("PatternMatch", "template matched captures")
 
-Segment = Outer | Snippet | PatternMatch
+Segment = str | Snippet | PatternMatch
 
 _BLANKS = re.compile("[ \t]*")
 _UNSEARCHED = (-1, -1, ())  # find_next_match's entry for a hook not searched
@@ -81,23 +78,20 @@ def _search(text: str, hook: Hook, from_: int, last: tuple = _UNSEARCHED):
 
 
 def find_next_match(text: str, from_: int, hooks: list[Hook],
-                    *, cache: dict | None = None) -> tuple | None:
+                    cache: dict) -> tuple | None:
     """Earliest hook match at or after `from_`, as
-    (hook_index, start, end, captures) with `end` exclusive, or None.
+    (hook, start, end, captures) with `end` exclusive, or None.
 
     Ties are broken by smallest start, then smallest match length, then
-    smallest hook index. A begin delimiter with no end delimiter anywhere
+    earliest hook in `hooks`. A begin delimiter with no end delimiter anywhere
     after it is a hard error once no complete match starts before it.
     `cache` keeps each hook's `_search` result between calls over one text
     with non-decreasing `from_`; a hook is searched again once it is passed.
     """
-    cache = {} if cache is None else cache
     best = None
     dangling: int | None = None  # earliest unterminated begin
 
-    i = -1
     for hook in hooks:
-        i += 1
         found = cache.get(hook, _UNSEARCHED)
         if found is None:  # absent from the rest of the text
             continue
@@ -113,7 +107,7 @@ def find_next_match(text: str, from_: int, hooks: list[Hook],
         # With the same start, the shorter match ends first; on a full tie
         # the earlier hook stays.
         if best is None or start < best[1] or (start == best[1] and end < best[2]):
-            best = (i, start, end, captures)
+            best = (hook, start, end, captures)
 
     if dangling is not None and (best is None or dangling < best[1]):
         raise UnterminatedSnippetError(
@@ -165,9 +159,10 @@ def iter_segments(text: str, state: EngineState) -> Iterator[Segment]:
     """Yield segments left to right, honouring live hook mutations.
 
     Callers that evaluate snippets between pulls see hook/out_delims changes
-    applied from the resume point onward. Existing output blocks are detected
-    in both modes, only for BeginEnd hooks, and only with zero characters
-    between snippet end and block begin.
+    applied from the resume point onward, and read the fence a snippet was
+    scanned with from `state` on receiving it. Existing output blocks are
+    detected in both modes, only for BeginEnd hooks, and only with zero
+    characters between snippet end and block begin.
 
     A snippet's indent and whether it starts its line come from its source
     line: the line as it reads with consumed output blocks left out, carried
@@ -179,28 +174,25 @@ def iter_segments(text: str, state: EngineState) -> Iterator[Segment]:
     indent, blank = "", True  # the source line so far, as `_line` keeps it
     found: dict = {}  # hook -> its next occurrence, for find_next_match
     while True:
-        match = find_next_match(text, pos, state.hooks, cache=found)
+        match = find_next_match(text, pos, state.hooks, found)
         if match is None:
             if pos < n:
-                yield Outer(text[pos:])
+                yield text[pos:]
             return
-        index, start, end, captures = match
+        hook, start, end, captures = match
         if start > pos:
-            yield Outer(text[pos:start])
+            yield text[pos:start]
             indent, blank = _line(text, pos, start, indent, blank)
         existing = None
-        hook = state.hooks[index]
         if isinstance(hook, BeginEnd):
             # On a blank line a delimiter's leading whitespace (" [[") adds
             # to the indent, and the snippet then does not start its line.
             run = text[start:_BLANKS.match(text, start).end()] if blank else ""
-            delims = state.out_delims
-            existing = detect_output_block(text, end, delims)
+            existing = detect_output_block(text, end, state.out_delims)
             code_offset = start + len(hook.begin)
             yield Snippet(text[start:end],
                           text[code_offset:end - len(hook.end)], code_offset,
-                          indent + run, blank and not run, existing, delims,
-                          state.indent_adjust)
+                          indent + run, blank and not run, existing)
         else:
             yield PatternMatch(hook.template, text[start:end], captures)
         indent, blank = _line(text, start, end, indent, blank)

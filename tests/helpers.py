@@ -1,6 +1,6 @@
 """Tiny shared helpers for the test modules."""
 from textforge.core import EngineState
-from textforge.scanner import Outer, Snippet
+from textforge.scanner import Snippet
 from textforge.styles import STYLES
 
 
@@ -12,8 +12,8 @@ def concat_segments(segments):
     """Reassemble the raw bytes covered by a scan (losslessness check)."""
     parts = []
     for seg in segments:
-        if isinstance(seg, Outer):
-            parts.append(seg.text)
+        if isinstance(seg, str):
+            parts.append(seg)
         elif isinstance(seg, Snippet):
             parts.append(seg.raw)
             if seg.existing_output is not None:

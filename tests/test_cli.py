@@ -1,6 +1,7 @@
 import gc
 import os
 import re
+import stat
 import subprocess
 import sys
 import time
@@ -8,6 +9,7 @@ import time
 import pytest
 
 import goldens
+import textforge
 from textforge.cli import USAGE, main, parse_args
 from textforge.core import UsageError
 from textforge.styles import STYLES
@@ -154,6 +156,62 @@ def test_main_keeps_crlf_line_endings(tmp_path):
         f.write_bytes(other)  # not all CRLF: byte for byte, with LF fences
         assert main([str(f)]) == 0
         assert f.read_bytes() == other.replace(b"!>", b"!>#+\na#-\n")
+
+
+def test_main_passes_bytes_that_are_not_utf8_through(tmp_path):
+    # Delimiters are matched as text; every other byte comes back as it was.
+    f = tmp_path / "t.txt"
+    f.write_bytes(b"\xff\xfe head <? echo 'x\xe9y'; !>\n tail \xc3\n")
+    assert main([str(f)]) == 0
+    updated = b"\xff\xfe head <? echo 'x\xe9y'; !>#+\nx\xe9y#-\n\n tail \xc3\n"
+    assert f.read_bytes() == updated
+    before = os.stat(f)
+    assert main([str(f)]) == 0
+    after = os.stat(f)
+    assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+    out = tmp_path / "out.txt"
+    assert main(["-replace", f"-o={out}", str(f)]) == 0
+    assert out.read_bytes() == b"\xff\xfe head x\xe9y\n\n tail \xc3\n"
+    assert f.read_bytes() == updated
+
+
+def _run_cli(args, cwd):
+    """Run the command in a child process that must end within 1 s; a read
+    that blocks would otherwise hang the test run."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(textforge.__file__)))
+    return subprocess.run([sys.executable, "-m", "textforge.cli", *args],
+                          cwd=cwd, env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=1)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_main_refuses_an_input_fifo(tmp_path):
+    os.mkfifo(tmp_path / "ff")
+    result = _run_cli(["ff"], tmp_path)
+    assert (result.returncode, result.stderr) == \
+        (1, "ff:0:0: refusing to read 'ff': not a regular file\n")
+    assert stat.S_ISFIFO(os.stat(tmp_path / "ff").st_mode)
+    assert os.listdir(tmp_path) == ["ff"]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_main_refuses_a_fifo_output_path(tmp_path):
+    os.mkfifo(tmp_path / "out")
+    (tmp_path / "t.txt").write_text("<? echo 'x'; !>\n")
+    result = _run_cli(["-replace", "-o=out", "t.txt"], tmp_path)
+    assert (result.returncode, result.stderr) == \
+        (1, "t.txt:0:0: refusing to read 'out': not a regular file\n")
+    assert stat.S_ISFIFO(os.stat(tmp_path / "out").st_mode)
+    assert sorted(os.listdir(tmp_path)) == ["out", "t.txt"]
+    assert (tmp_path / "t.txt").read_text() == "<? echo 'x'; !>\n"
+
+
+def test_main_refuses_a_directory(tmp_path, capsys):
+    (tmp_path / "d").mkdir()
+    assert main([str(tmp_path / "d")]) == 1
+    assert capsys.readouterr().err == \
+        f"{tmp_path / 'd'}:0:0: refusing to read '{tmp_path / 'd'}': " \
+        "not a regular file\n"
 
 
 def test_main_delimiter_and_regex_hooks_on_the_same_text_stay_apart(tmp_path):

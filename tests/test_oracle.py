@@ -9,7 +9,7 @@ import contextlib
 import os
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import reference_scriptlet
 from helpers import make_state
@@ -171,8 +171,24 @@ def _statement(draw, depth):
 _PROGRAMS = st.lists(_statement(2), min_size=1, max_size=4).map("\n".join)
 
 
+_DEFAULT_BUDGETS = {"max_loops": 1_000_000, "max_string": 2**26,
+                    "max_nesting": 100}
+
+
+# Each example kills one of the faults that scripts/mutants.py plants, so
+# that no kill waits on the random search: a block of two statements, equal
+# operands of < and >, a suffix that also occurs inside the text, and a loop
+# over the five files one past a budget of four.
 @settings(max_examples=400, deadline=None)
 @given(source=_PROGRAMS, budgets=_BUDGETS, scope=_SCOPES)
+@example(source="if (1) { $a = 'x'; $b = 'y'; }", budgets=_DEFAULT_BUDGETS,
+         scope={})
+@example(source="echo 1 < 1, ';', 'b' > 'b';", budgets=_DEFAULT_BUDGETS,
+         scope={})
+@example(source="echo strip_suffix('abab', 'b');", budgets=_DEFAULT_BUDGETS,
+         scope={})
+@example(source="for $i in glob('*') { echo $i; }",
+         budgets=dict(_DEFAULT_BUDGETS, max_loops=4), scope={})
 def test_drawn_programs_run_as_the_reference_says(doc, source, budgets,
                                                   scope):
     _check(source, doc, budgets, scope)

@@ -19,7 +19,6 @@ from textforge.core import (
     line_col,
 )
 from textforge.scanner import (
-    Outer,
     PatternMatch,
     Snippet,
     detect_output_block,
@@ -36,68 +35,70 @@ JAVA_DELIMS = OutDelims("//", "+\n", "//", "-\n")
 # --- find_next_match -----------------------------------------------------
 
 def test_find_basic_snippet():
-    assert find_next_match("a<? x !>b", 0, DEFAULT_HOOKS) == (1, 1, 8, ())
+    assert find_next_match("a<? x !>b", 0, DEFAULT_HOOKS, {}) == \
+        (DEFAULT_HOOKS[1], 1, 8, ())
 
 
 def test_find_nothing():
-    assert find_next_match("no hooks here", 0, DEFAULT_HOOKS) is None
+    assert find_next_match("no hooks here", 0, DEFAULT_HOOKS, {}) is None
 
 
 def test_find_prefers_comment_hook_at_smaller_start():
     # "//<?" starts at 0, the bare "<?" only at 2: position wins.
-    assert find_next_match("//<? x !>", 0, JAVA_HOOKS) == (0, 0, 9, ())
+    assert find_next_match("//<? x !>", 0, JAVA_HOOKS, {}) == \
+        (JAVA_HOOKS[0], 0, 9, ())
 
 
 def test_find_leftmost_across_calls():
     text = "<? a !> tail <? b !>"
-    _, start, end, _ = find_next_match(text, 0, DEFAULT_HOOKS)
+    _, start, end, _ = find_next_match(text, 0, DEFAULT_HOOKS, {})
     assert text[start:end] == "<? a !>"
-    _, start, end, _ = find_next_match(text, end, DEFAULT_HOOKS)
+    _, start, end, _ = find_next_match(text, end, DEFAULT_HOOKS, {})
     assert text[start:end] == "<? b !>"
 
 
 def test_find_tie_on_start_prefers_shorter_match():
     hooks = [BeginEnd("<?", "!>>"), BeginEnd("<?", "!>")]
-    assert find_next_match("<?x!>>", 0, hooks)[:3] == (1, 0, 5)
+    assert find_next_match("<?x!>>", 0, hooks, {})[:3] == (hooks[1], 0, 5)
 
 
 def test_find_full_tie_prefers_lower_hook_index():
     hooks = [BeginEnd("<?", "!>"), BeginEnd("<?", "!>")]
-    assert find_next_match("<?x!>", 0, hooks)[0] == 0
+    assert find_next_match("<?x!>", 0, hooks, {})[0] is hooks[0]
 
 
 def test_find_pattern_hook_captures():
     hooks = [Pattern(re.compile(r"a(b+)(c)?"), "$1")]
-    _, start, end, captures = find_next_match("xxabbb", 0, hooks)
+    _, start, end, captures = find_next_match("xxabbb", 0, hooks, {})
     assert (start, end) == (2, 6)
     assert captures == ("bbb", "")
 
 
 def test_find_skips_zero_width_pattern_matches():
     hooks = [Pattern(re.compile("x*"), "$1")]
-    assert find_next_match("yyy", 0, hooks) is None
-    assert find_next_match("yyxy", 0, hooks)[1:3] == (2, 3)
+    assert find_next_match("yyy", 0, hooks, {}) is None
+    assert find_next_match("yyxy", 0, hooks, {})[1:3] == (2, 3)
 
 
 def test_find_dangling_begin_is_an_error():
     with pytest.raises(UnterminatedSnippetError) as exc:
-        find_next_match("a <? x", 0, DEFAULT_HOOKS)
+        find_next_match("a <? x", 0, DEFAULT_HOOKS, {})
     assert line_col("a <? x", exc.value.at) == (1, 3)
 
 
 def test_find_dangling_after_complete_match_is_fine():
     text = "<? a !> <? b"
-    _, start, end, _ = find_next_match(text, 0, DEFAULT_HOOKS)
+    _, start, end, _ = find_next_match(text, 0, DEFAULT_HOOKS, {})
     assert text[start:end] == "<? a !>"
     with pytest.raises(UnterminatedSnippetError):
-        find_next_match(text, end, DEFAULT_HOOKS)
+        find_next_match(text, end, DEFAULT_HOOKS, {})
 
 
 def test_find_dangling_before_complete_match_still_errors():
     hooks = [BeginEnd("[", "]"), BeginEnd("{", "}")]
     with pytest.raises(UnterminatedSnippetError):
-        find_next_match("{ [x]", 0, hooks)
-    assert find_next_match("[x] {", 0, hooks)[1:3] == (0, 3)
+        find_next_match("{ [x]", 0, hooks, {})
+    assert find_next_match("[x] {", 0, hooks, {})[1:3] == (0, 3)
 
 
 def _oracle_find(text, from_, hooks):
@@ -128,7 +129,7 @@ def _oracle_find(text, from_, hooks):
         return "error"
     if best is None:
         return None
-    return (best[2], best[0], best[0] + best[1])
+    return (hooks[best[2]], best[0], best[0] + best[1])
 
 
 @given(st.text(alphabet="ab<?!># \n", max_size=30), st.integers(0, 30))
@@ -136,7 +137,7 @@ def test_find_matches_brute_force_oracle(text, from_):
     from_ = min(from_, len(text))
     hooks = DEFAULT_HOOKS + [Pattern(re.compile("ab"), "")]
     try:
-        got = find_next_match(text, from_, hooks)
+        got = find_next_match(text, from_, hooks, {})
     except UnterminatedSnippetError:
         got = "error"
     else:
@@ -214,18 +215,18 @@ def test_detect_infix_mismatch_is_unterminated():
 
 def test_scan_plain_text_is_one_outer():
     state = make_state()
-    assert list(iter_segments("plain text", state)) == [Outer("plain text")]
+    assert list(iter_segments("plain text", state)) == ["plain text"]
 
 
 def test_scan_basic_segments():
     state = make_state(style="java")
     segs = list(iter_segments("a//<? echo 1; !>b", state))
-    assert segs[0] == Outer("a")
+    assert segs[0] == "a"
     assert isinstance(segs[1], Snippet)
     assert segs[1].raw == "//<? echo 1; !>"
     assert segs[1].code == " echo 1; "
     assert segs[1].code_offset == 5
-    assert segs[2] == Outer("b")
+    assert segs[2] == "b"
 
 
 def test_scan_consumes_adjacent_output_block():
@@ -234,7 +235,7 @@ def test_scan_consumes_adjacent_output_block():
     snip = segs[1]
     assert snip.existing_output is not None
     assert snip.existing_output == "//+\nOLD//-\n"
-    assert segs[2] == Outer("y")
+    assert segs[2] == "y"
 
 
 def test_scan_updated_java_fixture_recovers_output():
@@ -252,7 +253,7 @@ def test_scan_block_must_touch_end_delimiter():
     state = make_state(style="java")
     segs = list(iter_segments("x//<? c !> //+\nOLD//-\n", state))
     assert segs[1].existing_output is None
-    assert segs[2] == Outer(" //+\nOLD//-\n")
+    assert segs[2] == " //+\nOLD//-\n"
 
 
 def test_scan_records_indent_and_whether_snippet_starts_line():
@@ -276,17 +277,19 @@ def test_scan_line_leaves_out_consumed_output_blocks():
     assert (c.indent, c.starts_line) == ("  ", True)
 
 
-def test_scan_snapshots_out_delims_per_snippet():
+def test_scan_detects_each_block_with_the_fence_in_effect():
+    # Each block is read with the fence live when the scan reaches it; the
+    # scan has not read past the first snippet when the fence changes.
     state = make_state()
-    gen = iter_segments("<? a !>mid<? b !>", state)
+    gen = iter_segments("<? a !>#+\nA#-\n<? b !>@+\nB@-\n<? c !>#+\nC#-\n",
+                        state)
     first = next(gen)
-    assert isinstance(first, Snippet)
-    other = OutDelims("@", "+\n", "@", "-\n")
-    state.out_delims = other
-    rest = list(gen)
-    second = [s for s in rest if isinstance(s, Snippet)][0]
-    assert first.out_delims != other
-    assert second.out_delims == other
+    assert first.existing_output == "#+\nA#-\n"
+    state.out_delims = OutDelims("@", "+\n", "@", "-\n")
+    second, third, rest = next(gen), next(gen), list(gen)
+    assert second.existing_output == "@+\nB@-\n"
+    assert third.existing_output is None
+    assert rest == ["#+\nC#-\n"]
 
 
 def test_scan_picks_up_hooks_added_mid_file():
@@ -295,7 +298,7 @@ def test_scan_picks_up_hooks_added_mid_file():
     assert isinstance(next(gen), Snippet)
     state.hooks.append(Pattern(re.compile("ZZ"), ""))
     rest = list(gen)
-    matches = [s for s in rest if not isinstance(s, (Outer, Snippet))]
+    matches = [s for s in rest if not isinstance(s, (str, Snippet))]
     assert len(matches) == 1
     assert matches[0].matched == "ZZ"
 
@@ -408,8 +411,8 @@ _FRAGMENTS = st.sampled_from([
 @settings(deadline=None)
 @given(st.lists(_FRAGMENTS, max_size=14).map("".join))
 def test_scan_cache_agrees_with_fresh_searches(text):
-    def uncached(text, from_, hooks, *, cache=None):
-        return find_next_match(text, from_, hooks)
+    def uncached(text, from_, hooks, cache):
+        return find_next_match(text, from_, hooks, {})
 
     cached = _run_snippets(text, make_state())
     with mock.patch.object(scanner, "find_next_match", uncached):
@@ -494,7 +497,7 @@ def test_scan_indent_and_starts_line_match_the_rebuilt_source_line(
             source.append(seg.raw)
             offset += len(seg.raw) + len(seg.existing_output or "")
         else:
-            piece = seg.text if isinstance(seg, Outer) else seg.matched
+            piece = seg if isinstance(seg, str) else seg.matched
             source.append(piece)
             offset += len(piece)
     assert offset == len(text)
