@@ -77,6 +77,14 @@ MUTANTS = {
         "rewriter.py", "test_cli.py",
         "if stat.S_ISREG(os.fstat(fd).st_mode):",
         "if True:"),
+    "the scan keeps its cache when set_style() drops the hooks": (
+        "scanner.py", "test_scanner.py",
+        "hooks, found = state.hooks, {}",
+        "hooks = state.hooks"),
+    "the style lookup takes the suffix from the first dot": (
+        "styles.py", "test_styles.py",
+        'base.rpartition(".")',
+        'base.partition(".")'),
 }
 
 

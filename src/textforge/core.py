@@ -71,9 +71,7 @@ class UsageError(EngineError):
 BeginEnd = namedtuple("BeginEnd", "begin end")
 
 # Regex hook: `regex` is a compiled `re.Pattern`, and in replace mode a match
-# becomes `template` with $1..$9 substituted from capture groups. A compiled
-# pattern never equals a str, so a Pattern never equals a BeginEnd and the
-# two never share a scanner cache entry.
+# becomes `template` with $1..$9 substituted from capture groups.
 Pattern = namedtuple("Pattern", "regex template")
 
 Hook = BeginEnd | Pattern

@@ -85,18 +85,19 @@ def find_next_match(text: str, from_: int, hooks: list[Hook],
     Ties are broken by smallest start, then smallest match length, then
     earliest hook in `hooks`. A begin delimiter with no end delimiter anywhere
     after it is a hard error once no complete match starts before it.
-    `cache` keeps each hook's `_search` result between calls over one text
-    with non-decreasing `from_`; a hook is searched again once it is passed.
+    `cache` keeps each hook's `_search` result, keyed by the hook's id,
+    between calls over one text with non-decreasing `from_` and hooks that
+    stay alive; a hook is searched again once it is passed.
     """
     best = None
     dangling: int | None = None  # earliest unterminated begin
 
     for hook in hooks:
-        found = cache.get(hook, _UNSEARCHED)
+        found = cache.get(id(hook), _UNSEARCHED)
         if found is None:  # absent from the rest of the text
             continue
         if found[0] < from_:
-            found = cache[hook] = _search(text, hook, from_, found)
+            found = cache[id(hook)] = _search(text, hook, from_, found)
             if found is None:
                 continue
         start, end, captures = found
@@ -172,9 +173,12 @@ def iter_segments(text: str, state: EngineState) -> Iterator[Segment]:
     pos = 0
     n = len(text)
     indent, blank = "", True  # the source line so far, as `_line` keeps it
-    found: dict = {}  # hook -> its next occurrence, for find_next_match
+    hooks = state.hooks
+    found: dict = {}  # id(hook) -> its next occurrence, for find_next_match
     while True:
-        match = find_next_match(text, pos, state.hooks, found)
+        if state.hooks is not hooks:  # set_style(): a dropped hook's id recurs
+            hooks, found = state.hooks, {}
+        match = find_next_match(text, pos, hooks, found)
         if match is None:
             if pos < n:
                 yield text[pos:]

@@ -451,8 +451,9 @@ def _variable(name: str, at: int):
 
 def _call(name: str, at: int, args: tuple):
     """A builtin call. Unknown names and bad arity fail only when run. The
-    arguments are evaluated left to right before the builtin runs, and an
-    EvalError it raises with no offset takes the call's."""
+    arguments are evaluated left to right before the builtin runs. An
+    EvalError it raises with no offset takes the call's, and an OSError
+    becomes an EvalError at the call that names the builtin."""
     entry = BUILTINS.get(name)
     if entry is None:
         message = f"unknown function '{name}'"
@@ -465,8 +466,8 @@ def _call(name: str, at: int, args: tuple):
             x = a(run)
             try:
                 return fn(run.state, x)
-            except EvalError as exc:
-                raise _blame(exc, at)
+            except (EvalError, OSError) as exc:
+                raise _blame(exc, name, at)
         return call
     elif len(args) == 2:
         fn, (a, b) = entry[1], args
@@ -475,8 +476,8 @@ def _call(name: str, at: int, args: tuple):
             x, y = a(run), b(run)
             try:
                 return fn(run.state, x, y)
-            except EvalError as exc:
-                raise _blame(exc, at)
+            except (EvalError, OSError) as exc:
+                raise _blame(exc, name, at)
         return call
     else:
         fn = entry[1]
@@ -485,8 +486,8 @@ def _call(name: str, at: int, args: tuple):
             values = [arg(run) for arg in args]
             try:
                 return fn(run.state, *values)
-            except EvalError as exc:
-                raise _blame(exc, at)
+            except (EvalError, OSError) as exc:
+                raise _blame(exc, name, at)
         return call
 
     def bad_call(run):
@@ -494,7 +495,9 @@ def _call(name: str, at: int, args: tuple):
     return bad_call
 
 
-def _blame(exc: EvalError, at: int) -> EvalError:
+def _blame(exc: EvalError | OSError, name: str, at: int) -> EvalError:
+    if isinstance(exc, OSError):  # an unreadable directory or conf, say
+        return EvalError(f"{name}(): {exc}", at=at)
     if exc.at is None:  # a builtin's error is the call's
         exc.at = at
     return exc

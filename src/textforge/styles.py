@@ -61,17 +61,15 @@ STYLES: dict[str, Style] = {style.name: style for style in (
 )}
 
 
+# Exact base name or "."-suffix -> the style that lists it. No suffix holds
+# a second ".", so the longest matching suffix is the one from the last ".".
+_BY_NAME = {ext: style for style in STYLES.values() for ext in style.extensions}
+
+
 def detect_style(path: str) -> Style:
     """Pick a style for `path`: exact basename first, then the longest
     matching suffix, else `default`."""
     base = os.path.basename(path)
-    best = STYLES["default"]
-    best_len = 0
-    for style in STYLES.values():
-        for ext in style.extensions:
-            if not ext.startswith("."):
-                if base == ext:
-                    return style
-            elif base.endswith(ext) and len(ext) > best_len:
-                best, best_len = style, len(ext)
-    return best
+    _, dot, suffix = base.rpartition(".")  # all of `base` if it has no "."
+    return (_BY_NAME.get(base) or _BY_NAME.get(dot + suffix)
+            or STYLES["default"])

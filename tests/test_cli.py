@@ -10,6 +10,7 @@ import pytest
 
 import goldens
 import textforge
+from textforge import config
 from textforge.cli import USAGE, main, parse_args
 from textforge.core import UsageError
 from textforge.styles import STYLES
@@ -294,6 +295,52 @@ def test_main_reports_a_glob_pattern_with_a_slash(tmp_path, capsys):
     assert capsys.readouterr().err == (
         f"{f}:2:19: glob() pattern may not contain a path separator\n")
     assert f.read_text() == source
+
+
+def _failing_for(real, path, errno, message):
+    """`real`, except that it raises OSError(errno, message) for `path`."""
+    def failing(name, *args, **kwargs):
+        if os.fspath(name) == str(path):
+            raise OSError(errno, message, str(path))
+        return real(name, *args, **kwargs)
+    return failing
+
+
+# The tests run as root, where chmod denies nothing, so the OS errors below
+# are injected.
+def test_main_reports_an_os_error_in_a_builtin_at_its_call(
+        tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(os, "listdir", _failing_for(
+        os.listdir, tmp_path, 13, "Permission denied"))
+    f = tmp_path / "t.txt"
+    source = "files:\n<? echo join(' ', glob('*')); !>\n"
+    f.write_text(source)
+    assert main([str(f)]) == 1
+    assert capsys.readouterr().err == (
+        f"{f}:2:19: glob(): [Errno 13] Permission denied: '{tmp_path}'\n")
+    assert f.read_text() == source
+
+    monkeypatch.setattr(os, "stat", _failing_for(
+        os.stat, f, 2, "No such file or directory"))
+    f.write_text("<? echo file_modification_date(); !>")
+    assert main([str(f)]) == 1
+    assert capsys.readouterr().err == (
+        f"{f}:1:9: file_modification_date(): [Errno 2] No such file or "
+        f"directory: '{f}'\n")
+
+
+def test_main_reports_an_unreadable_conf_at_the_read_starfish_conf_call(
+        tmp_path, monkeypatch, capsys):
+    conf = tmp_path / "starfish.conf"
+    conf.write_text("$x = 1;\n")
+    monkeypatch.setattr(config, "open", _failing_for(
+        open, conf, 13, "Permission denied"), raising=False)
+    f = tmp_path / "t.txt"
+    f.write_text("a\n  <? read_starfish_conf(); echo $x; !>\n")
+    assert main([str(f)]) == 1
+    assert capsys.readouterr().err == (
+        f"{f}:2:6: read_starfish_conf(): [Errno 13] Permission denied: "
+        f"'{conf}'\n")
 
 
 def test_main_reports_missing_file(tmp_path, capsys):

@@ -447,6 +447,41 @@ def test_scan_of_begin_delimiters_far_from_an_end_is_linear(tail):
     assert len(segs) == 20_000 + bool(tail)
 
 
+def test_scan_cost_does_not_grow_with_the_regex_of_a_hook():
+    # A cache keyed by the hook itself hashed the compiled pattern on every
+    # lookup: with a 200-way alternation the scan took several times longer.
+    def scan_seconds(pattern):
+        state = make_state()
+        state.hooks.append(Pattern(re.compile(pattern), ""))
+        started = time.perf_counter()
+        segs = list(iter_segments("foo " * 10_000, state))
+        assert len(segs) == 20_000
+        return time.perf_counter() - started
+
+    wide = "foo|" + "|".join(f"bar{i}" for i in range(199))
+    times = {"foo": [], wide: []}
+    for _ in range(3):
+        for pattern in times:
+            times[pattern].append(scan_seconds(pattern))
+    assert min(times[wide]) <= 1.5 * min(times["foo"])
+
+
+def test_scan_starts_a_fresh_cache_when_set_style_drops_the_hooks(monkeypatch):
+    # The cache is keyed by id(hook), and the id of a dropped hook recurs.
+    sizes = []
+
+    def recording(text, from_, hooks, cache):
+        sizes.append(len(cache))
+        return find_next_match(text, from_, hooks, cache)
+
+    monkeypatch.setattr(scanner, "find_next_match", recording)
+    text = "<? set_style('java'); !>\n//<? echo 1; !>\n<? echo 2; !>\n"
+    segs, error = _run_snippets(text, make_state())
+    assert error is None
+    assert sum(isinstance(seg, Snippet) for seg in segs) == 3
+    assert sizes[:2] == [0, 0] and sizes[2] > 0
+
+
 # --- the source line: its indent is carried forward, never re-read ---------
 
 def test_scan_of_many_snippets_on_one_line_is_linear():

@@ -1,4 +1,4 @@
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from textforge.core import BeginEnd, OutDelims
 from textforge.styles import STYLES, detect_style
@@ -91,9 +91,20 @@ _NAME_FRAGMENTS = ("Makefile", "makefile", ".mk", ".py", ".pl", ".pm", ".java",
 
 
 @given(st.lists(st.sampled_from(_NAME_FRAGMENTS), max_size=6))
+@example(["x", ".htm", ".py"])
 def test_detect_style_matches_the_readme_rule(fragments):
     path = "".join(fragments)
     assert detect_style(path).name == _oracle_style(path)
+
+
+def test_every_suffix_has_one_dot_and_every_entry_one_style():
+    # Then the longest matching suffix is the one from the last ".", which
+    # detect_style looks up; a ".tar.gz" entry would need a longer search.
+    entries = [ext for style in STYLES.values() for ext in style.extensions]
+    assert len(entries) == len(set(entries))
+    for ext in entries:
+        if ext.startswith("."):
+            assert ext.count(".") == 1, ext
 
 
 def test_registry_add_and_get():
