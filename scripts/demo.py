@@ -1,6 +1,10 @@
 #!/usr/bin/env python3
 """Run the three showcase documents through an update and show the diffs.
 
+    PYTHONPATH=src python3 scripts/demo.py
+
+The update is then run again, and the demo exits 1 if that rerun changes
+the bytes or the mtime of any of the three files: an update is idempotent.
 Everything happens in a throwaway directory; the sources live inline here so
 the demo works from a bare checkout.
 """
@@ -73,6 +77,15 @@ def show(title, before, after):
     print()
 
 
+def snapshot(paths):
+    """Path -> (bytes, mtime in ns) of each of `paths`."""
+    found = {}
+    for path in paths:
+        with open(path, "rb") as f:
+            found[path] = (f.read(), os.stat(path).st_mtime_ns)
+    return found
+
+
 def main():
     with tempfile.TemporaryDirectory() as d:
         java = os.path.join(d, "simple.java")
@@ -93,8 +106,8 @@ def main():
         when = datetime(2020, 7, 4, 12, 0).timestamp()
         os.utime(blog, (when, when))
 
-        subprocess.run([sys.executable, "-m", "textforge.cli",
-                        java, mk, blog], check=True)
+        update = [sys.executable, "-m", "textforge.cli", java, mk, blog]
+        subprocess.run(update, check=True)
 
         for title, path, before in (("simple.java (update)", java, JAVA),
                                     ("Makefile (update)", mk, MAKEFILE),
@@ -102,13 +115,28 @@ def main():
             with open(path) as f:
                 show(title, before, f.read())
 
+        # file_modification_date() reads the blog's mtime, which the update
+        # moved to now; pin it again, so the rerun sees the date printed.
+        os.utime(blog, (when, when))
+        before = snapshot((java, mk, blog))
+        subprocess.run(update, check=True)
+        after = snapshot((java, mk, blog))
+        changed = [os.path.basename(p) for p in before if before[p] != after[p]]
+        if changed:
+            print(f"demo: the rerun changed {', '.join(changed)}",
+                  file=sys.stderr)
+            return 1
+        print("=== rerun: no file changed " + "=" * 33)
+        print()
+
         out = os.path.join(d, "simple-release.java")
         subprocess.run([sys.executable, "-m", "textforge.cli",
                         "-replace", f"-o={out}", java], check=True)
         with open(out) as f:
             print("=== simple.java (replace) " + "=" * 34)
             print(f.read())
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

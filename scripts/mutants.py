@@ -53,7 +53,7 @@ MUTANTS = {
         "if end > start:",
         "if end >= start:"),
     "the template join takes capture N + 1 for $N": (
-        "rewriter.py", "test_rewriter.py",
+        "scanner.py", "test_scanner.py",
         "i = int(parts[k]) - 1",
         "i = int(parts[k])"),
     "the snippet error mapping splits one line too far": (
@@ -66,9 +66,9 @@ MUTANTS = {
         "code <= last[1]"),
     "_run_snippet reads the fence after the snippet runs": (
         "rewriter.py", "test_rewriter.py",
-        "    if indent_adjust and seg.indent:\n",
-        "    delims, indent_adjust = state.out_delims, state.indent_adjust\n"
-        "    if indent_adjust and seg.indent:\n"),
+        "    if style.indent_adjust and seg.indent:\n",
+        "    delims, style = state.out_delims, state.style\n"
+        "    if style.indent_adjust and seg.indent:\n"),
     "find_next_match keeps the later hook on a full tie": (
         "scanner.py", "test_scanner.py",
         "end < best[2]",
@@ -85,6 +85,18 @@ MUTANTS = {
         "styles.py", "test_styles.py",
         'base.rpartition(".")',
         'base.partition(".")'),
+    "diagnostic() keeps line breaks in FILE and the message": (
+        "core.py", "test_cli.py",
+        'f"{self.message}").translate(LINE_ESCAPES)',
+        'f"{self.message}")'),
+    "a file named twice runs under each name": (
+        "cli.py", "test_cli.py",
+        "if key in done:",
+        "if False:"),
+    "iter_segments yields a regex match's text in replace mode too": (
+        "scanner.py", "test_scanner.py",
+        "elif replace:",
+        "elif False:"),
 }
 
 

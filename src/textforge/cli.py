@@ -8,17 +8,19 @@ after its snippet between output markers and nothing else moves. With
 into PATH. -e runs CODE as a scriptlet before each file's first snippet;
 -style overrides file-type detection.
 
-Exit codes: 0 success, 1 any file failed to process (remaining files are
-still attempted), 2 usage error. Diagnostics go to stderr as
-FILE:LINE:COL: message.
+A file named more than once (by symlinks, say) is processed once, under
+its first name. Exit codes: 0 success, 1 any file failed to process
+(remaining files are still attempted), 2 usage error. Diagnostics go to
+stderr as FILE:LINE:COL: message, one line each.
 """
 from __future__ import annotations
 
 import gc
+import os
 import sys
 from collections import namedtuple
 
-from .core import EngineError, UsageError
+from .core import LINE_ESCAPES, EngineError, UsageError
 from .rewriter import process_file
 from .styles import STYLES, detect_style
 
@@ -63,7 +65,8 @@ def parse_args(argv: list[str]):
 
 
 def run(opts) -> int:
-    """Process every file; returns the process exit code."""
+    """Process every file once, under the first of its names; returns the
+    process exit code."""
     # The cyclic collector is paused for the run, as Mercurial's util.nogc
     # does: compiled programs, $O pieces and scanner segments hold no
     # reference cycles, so reference counting frees them as each snippet and
@@ -72,15 +75,18 @@ def run(opts) -> int:
     gc.disable()
     try:
         status = 0
-        for path in opts.files:
+        done = set()
+        keys = [_identity(path) for path in opts.files]  # before any write
+        for path, key in zip(opts.files, keys):
+            if key in done:
+                continue  # another name for a file this run has processed
+            if key is not None:
+                done.add(key)
             try:
                 process_file(path, opts.style or detect_style(path),
                              out_path=opts.out_path, init_code=opts.init_code)
             except EngineError as exc:
                 print(exc.diagnostic(), file=sys.stderr)
-                status = 1
-            except OSError as exc:
-                print(f"{path}:0:0: {exc}", file=sys.stderr)
                 status = 1
         return status
     finally:
@@ -88,12 +94,23 @@ def run(opts) -> int:
             gc.enable()
 
 
+def _identity(path: str) -> tuple[int, int] | None:
+    """(st_dev, st_ino) of `path`, symlinks followed, or None if it cannot be
+    stat'ed. A write replaces the file, so it changes the inode."""
+    try:
+        info = os.stat(path)
+    except OSError:
+        return None
+    return info.st_dev, info.st_ino
+
+
 def main(argv: list[str] | None = None) -> int:
     args = sys.argv[1:] if argv is None else argv
     try:
         opts = parse_args(args)
     except UsageError as exc:
-        print(f"textforge: {exc.message}", file=sys.stderr)
+        print(f"textforge: {exc.message}".translate(LINE_ESCAPES),
+              file=sys.stderr)
         print(USAGE, file=sys.stderr)
         return 2
     return run(opts)

@@ -17,19 +17,25 @@ import os
 from collections import namedtuple
 
 
+# Line breaks as their two-character escapes, so a message stays one line.
+LINE_ESCAPES = str.maketrans({"\r": "\\r", "\n": "\\n"})
+
+
 class EngineError(Exception):
     """Base for all engine errors; knows how to render a diagnostic.
 
     `at` is the offset of the error in the source that raised it, or None
     when no place in a source is at fault (the diagnostic then reads
-    FILE:0:0). `file` stays None, and `line` and `col` 0, until `locate`.
+    FILE:0:0). `file` is None, and `line` and `col` 0, until `locate`,
+    unless `file` is given.
     """
 
-    def __init__(self, message: str, *, at: int | None = None):
+    def __init__(self, message: str, *, at: int | None = None,
+                 file: str | None = None):
         super().__init__(message)
         self.message = message
         self.at = at
-        self.file: str | None = None
+        self.file = file
         self.line = 0
         self.col = 0
 
@@ -44,7 +50,9 @@ class EngineError(Exception):
             self.line, self.col = line_col(source, self.at)
 
     def diagnostic(self) -> str:
-        return f"{self.file or '<input>'}:{self.line}:{self.col}: {self.message}"
+        """FILE:LINE:COL: message, on one line."""
+        return (f"{self.file or '<input>'}:{self.line}:{self.col}: "
+                f"{self.message}").translate(LINE_ESCAPES)
 
 
 class ParseError(EngineError):
@@ -70,8 +78,9 @@ class UsageError(EngineError):
 # Snippet hook: code sits between `begin` and the first following `end`.
 BeginEnd = namedtuple("BeginEnd", "begin end")
 
-# Regex hook: `regex` is a compiled `re.Pattern`, and in replace mode a match
-# becomes `template` with $1..$9 substituted from capture groups.
+# Regex hook: `regex` is a compiled `re.Pattern`. The scanner's segments are
+# `str | Snippet`, and a match is a `str`: its text in update mode, and in
+# replace mode `template` with $1..$9 substituted from its capture groups.
 Pattern = namedtuple("Pattern", "regex template")
 
 Hook = BeginEnd | Pattern
@@ -105,17 +114,18 @@ Value = str | int | bool | list
 class EngineState:
     """Mutable state of one file's run, built from its path and style.
 
-    Snippets may retarget `hooks`, `out_delims`, `line_comment` and
-    `indent_adjust` mid-file; mutations affect all subsequent scanning.
+    `style` is the style in effect, whose `line_comment` and
+    `indent_adjust` apply; only `set_style()` replaces it, and with it
+    `hooks` and `out_delims`. Snippets may also retarget `hooks` and
+    `out_delims` on their own; mutations affect all subsequent scanning.
     `base_dir` is where `glob()` looks: the file's directory, or a conf's
     while that conf runs. `listings` maps each directory `glob()` has read
     to its sorted entries, and `globs` each `(directory, pattern)` it has
     matched to the matching names.
     """
 
-    __slots__ = ("file_path", "hooks", "out_delims", "line_comment",
-                 "indent_adjust", "scope", "conf_loaded", "base_dir",
-                 "listings", "globs")
+    __slots__ = ("file_path", "style", "hooks", "out_delims", "scope",
+                 "conf_loaded", "base_dir", "listings", "globs")
 
     def __init__(self, file_path: str, style: Style):
         self.file_path = file_path
@@ -128,10 +138,9 @@ class EngineState:
 
     def apply_style(self, style: Style) -> None:
         """Take over the style's settings; `style` itself is never mutated."""
+        self.style = style
         self.hooks = list(style.hooks)
         self.out_delims = style.out_delims
-        self.line_comment = style.line_comment
-        self.indent_adjust = style.indent_adjust
 
 
 def line_col(text: str, offset: int) -> tuple[int, int]:

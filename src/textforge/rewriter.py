@@ -10,7 +10,6 @@ starts its line) and keeps only the bare output.
 from __future__ import annotations
 
 import os
-import re
 import stat
 
 from .core import EngineError, EngineState, OutDelims, Style
@@ -98,19 +97,6 @@ def indent_output(output: str, indent: str) -> str:
                      for line in output.split("\n"))
 
 
-_CAPTURE_REF = re.compile(r"\$([1-9])")
-
-
-def _substitute_template(parts: list[str], captures: tuple[str, ...]) -> str:
-    """A regex hook's template, split by `_CAPTURE_REF` into `parts`, with
-    each `$N` replaced by capture N ("" past the last capture)."""
-    out = parts[:]
-    for k in range(1, len(parts), 2):
-        i = int(parts[k]) - 1
-        out[k] = captures[i] if i < len(captures) else ""
-    return "".join(out)
-
-
 def _run_snippet(parts: list[str], seg: Snippet, state: EngineState,
                  replace: bool) -> None:
     """Run one snippet and append it to `parts`, under the fence and indent
@@ -126,8 +112,8 @@ def _run_snippet(parts: list[str], seg: Snippet, state: EngineState,
     marker in update mode keeps a terminating newline, so both modes agree
     on line structure.
     """
-    delims, indent_adjust = state.out_delims, state.indent_adjust
-    code = strip_line_comments(seg.code, state.line_comment)
+    delims, style = state.out_delims, state.style
+    code = strip_line_comments(seg.code, style.line_comment)
     try:
         out = eval_program(parse_scriptlet(code), state)
     except EngineError as exc:
@@ -139,7 +125,7 @@ def _run_snippet(parts: list[str], seg: Snippet, state: EngineState,
                       + len(seg.code.rsplit("\n", after)[0])
                       - len(code.rsplit("\n", after)[0]))
         raise
-    if indent_adjust and seg.indent:
+    if style.indent_adjust and seg.indent:
         out = indent_output(out, seg.indent)
     if not replace:
         parts.append(seg.raw)
@@ -163,14 +149,14 @@ def process_file(path: str, style: Style, *, out_path: str | None = None,
     file was written.
 
     Without `out_path` the file is updated in place (written only when its
-    bytes change) and regex-hook matches stay as they are. With `out_path`
-    it is replaced: the output goes there, each regex-hook match becomes
-    its template, and the input is never touched; an `out_path` that is
-    the input itself, by any name, is refused. A file whose every newline
-    is CRLF is processed with LF and written with CRLF; any other file is
-    processed byte for byte. Every `EngineError` it raises is located at
+    bytes change). With `out_path` it is replaced: the output goes there,
+    and the input is never touched; an `out_path` that is the input itself,
+    by any name, is refused. A file whose every newline is CRLF is
+    processed with LF and written with CRLF; any other file is processed
+    byte for byte. Every error it raises is an `EngineError` located at
     `path`: its offset is read against the text as processed, or against
-    `init_code` for an error there. One from a conf keeps the conf's name.
+    `init_code` for an error there, and an `OSError` becomes one at
+    `path`:0:0 with the same text. One from a conf keeps the conf's name.
     """
     state = EngineState(path, style)
     replace = out_path is not None
@@ -191,20 +177,11 @@ def process_file(path: str, style: Style, *, out_path: str | None = None,
         source = text
 
         parts: list[str] = []
-        templates: dict[str, list[str]] = {}  # each split once
-        for seg in iter_segments(text, state):
+        for seg in iter_segments(text, state, replace):
             if type(seg) is str:
                 parts.append(seg)
-            elif isinstance(seg, Snippet):
-                _run_snippet(parts, seg, state, replace)
-            elif not replace:  # a regex-hook match stays as is
-                parts.append(seg.matched)
             else:
-                template = seg.template
-                split = templates.get(template)
-                if split is None:
-                    split = templates[template] = _CAPTURE_REF.split(template)
-                parts.append(_substitute_template(split, seg.captures))
+                _run_snippet(parts, seg, state, replace)
         new_text = "".join(parts)
         if crlf:
             new_text = new_text.replace("\n", "\r\n")
@@ -212,6 +189,8 @@ def process_file(path: str, style: Style, *, out_path: str | None = None,
         if replace:
             return write_if_changed(out_path, new_text)
         return write_if_changed(path, new_text, data, st)
+    except OSError as exc:
+        raise EngineError(str(exc), file=path) from None
     except EngineError as exc:
         exc.locate(path, source)
         raise

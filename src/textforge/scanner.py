@@ -1,12 +1,13 @@
-"""Segmentation of input text into segments: passthrough text (a `str`),
-snippets, and hook matches; each carries only what the scan found.
+"""Segmentation of input text into segments, `str | Snippet`: passthrough
+text and regex-hook matches are `str`, a match as its text in update mode
+and as its hook's template with `$1`..`$9` filled in in replace mode.
 
 Scanning is incremental: `iter_segments` is a generator that re-reads the
 state's hook list before every search, so a snippet that registers new hooks
 affects everything after it. It remembers where each hook occurs next, so a
 scan searches the text about once per hook. Concatenating the raw text of
 every segment (including each snippet's consumed existing-output block)
-reproduces the input byte for byte.
+reproduces the input byte for byte in update mode.
 """
 from __future__ import annotations
 
@@ -34,12 +35,10 @@ from .core import (
 Snippet = namedtuple("Snippet", "raw code code_offset indent starts_line "
                      "existing_output")
 
-# Text matched by a regex hook, its capture groups and the hook's template.
-PatternMatch = namedtuple("PatternMatch", "template matched captures")
-
-Segment = str | Snippet | PatternMatch
+Segment = str | Snippet
 
 _BLANKS = re.compile("[ \t]*")
+_CAPTURE_REF = re.compile(r"\$([1-9])")
 _UNSEARCHED = (-1, -1, ())  # find_next_match's entry for a hook not searched
 
 
@@ -116,6 +115,16 @@ def find_next_match(text: str, from_: int, hooks: list[Hook],
     return best
 
 
+def _substitute_template(parts: list[str], captures: tuple[str, ...]) -> str:
+    """A regex hook's template, split by `_CAPTURE_REF` into `parts`, with
+    each `$N` replaced by capture N ("" past the last capture)."""
+    out = parts[:]
+    for k in range(1, len(parts), 2):
+        i = int(parts[k]) - 1
+        out[k] = captures[i] if i < len(captures) else ""
+    return "".join(out)
+
+
 def detect_output_block(text: str, at: int,
                         delims: OutDelims) -> str | None:
     """Text of the existing output block starting exactly at `at`, from its
@@ -156,8 +165,10 @@ def _line(text: str, a: int, b: int, indent: str,
     return indent, blank
 
 
-def iter_segments(text: str, state: EngineState) -> Iterator[Segment]:
-    """Yield segments left to right, honouring live hook mutations.
+def iter_segments(text: str, state: EngineState,
+                  replace: bool = False) -> Iterator[Segment]:
+    """Yield segments left to right, honouring live hook mutations; a regex
+    match is its template, filled from its captures, when `replace`.
 
     Callers that evaluate snippets between pulls see hook/out_delims changes
     applied from the resume point onward, and read the fence a snippet was
@@ -175,6 +186,7 @@ def iter_segments(text: str, state: EngineState) -> Iterator[Segment]:
     indent, blank = "", True  # the source line so far, as `_line` keeps it
     hooks = state.hooks
     found: dict = {}  # id(hook) -> its next occurrence, for find_next_match
+    templates: dict[str, list[str]] = {}  # each split once
     while True:
         if state.hooks is not hooks:  # set_style(): a dropped hook's id recurs
             hooks, found = state.hooks, {}
@@ -197,8 +209,12 @@ def iter_segments(text: str, state: EngineState) -> Iterator[Segment]:
             yield Snippet(text[start:end],
                           text[code_offset:end - len(hook.end)], code_offset,
                           indent + run, blank and not run, existing)
+        elif replace:
+            if hook.template not in templates:
+                templates[hook.template] = _CAPTURE_REF.split(hook.template)
+            yield _substitute_template(templates[hook.template], captures)
         else:
-            yield PatternMatch(hook.template, text[start:end], captures)
+            yield text[start:end]
         indent, blank = _line(text, start, end, indent, blank)
         pos = end
         if existing is not None:

@@ -9,15 +9,14 @@ def make_state(path="doc.txt", style="default"):
 
 
 def concat_segments(segments):
-    """Reassemble the raw bytes covered by a scan (losslessness check)."""
+    """Reassemble the raw bytes covered by an update-mode scan (losslessness
+    check)."""
     parts = []
     for seg in segments:
-        if isinstance(seg, str):
-            parts.append(seg)
-        elif isinstance(seg, Snippet):
+        if isinstance(seg, Snippet):
             parts.append(seg.raw)
             if seg.existing_output is not None:
                 parts.append(seg.existing_output)
         else:
-            parts.append(seg.matched)
+            parts.append(seg)
     return "".join(parts)

@@ -81,6 +81,13 @@ def test_main_unknown_style_is_a_usage_error(tmp_path, capsys):
     assert f.read_text() == "<? echo 'x'; !>"
 
 
+def test_main_escapes_line_breaks_in_the_usage_line(capsys):
+    assert main(["-style=a\nb\r", "x.txt"]) == 2
+    known = ", ".join(sorted(STYLES))
+    assert capsys.readouterr().err == (
+        f"textforge: unknown style 'a\\nb\\r' (known: {known})\n{USAGE}\n")
+
+
 # --- end-to-end runs ----------------------------------------------------------
 
 def test_main_updates_java_file(tmp_path):
@@ -348,6 +355,48 @@ def test_main_reports_missing_file(tmp_path, capsys):
     assert main([str(missing)]) == 1
     assert f"{missing}:0:0: " in capsys.readouterr().err
     assert not missing.exists()
+
+
+def test_main_writes_one_line_for_a_message_with_a_line_break(
+        tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    source = '<? set_style("a\\nb"); !>\n'
+    (tmp_path / "nl.txt").write_text(source)
+    assert main(["nl.txt"]) == 1
+    known = ", ".join(sorted(STYLES))
+    assert capsys.readouterr().err == (
+        f"nl.txt:1:4: unknown style 'a\\nb' (known: {known})\n")
+    assert (tmp_path / "nl.txt").read_text() == source
+
+
+def test_main_writes_one_line_for_a_file_name_with_a_line_break(
+        tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["missing\nfile.txt"]) == 1
+    assert capsys.readouterr().err == (
+        "missing\\nfile.txt:0:0: [Errno 2] No such file or directory: "
+        "'missing\\nfile.txt'\n")
+    assert os.listdir(tmp_path) == []
+
+
+def test_main_processes_a_file_named_twice_once(tmp_path, monkeypatch, capsys):
+    # Under its second name glob('*') would list b/, and each run would
+    # rewrite the file twice.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    f = tmp_path / "a" / "f.txt"
+    f.write_text("<? echo join(' ', glob('*')); !>\n")
+    (tmp_path / "b" / "l.txt").symlink_to(os.path.join(os.pardir, "a", "f.txt"))
+    names = ["a/f.txt", "b/l.txt", "a/../a/f.txt"]
+    assert main(names) == 0
+    assert f.read_text() == "<? echo join(' ', glob('*')); !>#+\nf.txt#-\n\n"
+    before = os.stat(f)
+    assert main(names) == 0
+    after = os.stat(f)
+    assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+    assert capsys.readouterr().err == ""
+    assert sorted(os.listdir(tmp_path / "a")) == ["f.txt"]
 
 
 def test_main_names_an_unwritable_output_path(tmp_path, monkeypatch, capsys):

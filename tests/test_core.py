@@ -49,8 +49,8 @@ def test_new_engine_state_defaults():
     assert state.scope == {}
     assert state.conf_loaded is False
     assert state.base_dir == os.path.abspath(os.path.join("some", "dir"))
-    assert state.line_comment == "#"
-    assert state.indent_adjust is False
+    assert state.style.line_comment == "#"
+    assert state.style.indent_adjust is False
 
 
 def test_line_col_examples():

@@ -154,21 +154,6 @@ def test_choose_infix_is_linear_in_clashing_infixes():
     assert time.perf_counter() - started < 0.5
 
 
-# --- regex-hook templates -------------------------------------------------
-
-@given(st.lists(st.sampled_from(["$0", "$1", "$2", "$9", "$10", "$$1", "$",
-                                 "a", "-"]), max_size=8).map("".join),
-       st.lists(st.text("xy", max_size=2), max_size=9).map(tuple))
-def test_substitute_template_matches_re_sub(template, captures):
-    def repl(m):
-        i = int(m.group(1)) - 1
-        return captures[i] if i < len(captures) else ""
-
-    parts = rewriter._CAPTURE_REF.split(template)
-    assert (rewriter._substitute_template(parts, captures)
-            == re.sub(r"\$([1-9])", repl, template))
-
-
 # --- indent_output ---------------------------------------------------------
 
 def test_indent_output_prefixes_lines():

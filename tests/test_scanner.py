@@ -19,7 +19,6 @@ from textforge.core import (
     line_col,
 )
 from textforge.scanner import (
-    PatternMatch,
     Snippet,
     detect_output_block,
     find_next_match,
@@ -297,17 +296,28 @@ def test_scan_picks_up_hooks_added_mid_file():
     gen = iter_segments("<? a !> ZZ tail", state)
     assert isinstance(next(gen), Snippet)
     state.hooks.append(Pattern(re.compile("ZZ"), ""))
-    rest = list(gen)
-    matches = [s for s in rest if not isinstance(s, (str, Snippet))]
-    assert len(matches) == 1
-    assert matches[0].matched == "ZZ"
+    assert list(gen) == [" ", "ZZ", " tail"]
 
 
 def test_scan_pattern_segment():
-    state = make_state()
-    state.hooks.append(Pattern(re.compile(r"v(\d+)"), "$1"))
-    segs = list(iter_segments("see v42 here", state))
-    assert segs[1] == PatternMatch("$1", "v42", ("42",))
+    for replace, match in ((False, "v42"), (True, "42")):
+        state = make_state()
+        state.hooks.append(Pattern(re.compile(r"v(\d+)"), "$1"))
+        segs = list(iter_segments("see v42 here", state, replace))
+        assert segs == ["see ", match, " here"]
+
+
+@given(st.lists(st.sampled_from(["$0", "$1", "$2", "$9", "$10", "$$1", "$",
+                                 "a", "-"]), max_size=8).map("".join),
+       st.lists(st.text("xy", max_size=2), max_size=9).map(tuple))
+def test_substitute_template_matches_re_sub(template, captures):
+    def repl(m):
+        i = int(m.group(1)) - 1
+        return captures[i] if i < len(captures) else ""
+
+    parts = scanner._CAPTURE_REF.split(template)
+    assert (scanner._substitute_template(parts, captures)
+            == re.sub(r"\$([1-9])", repl, template))
 
 
 def test_scan_propagates_unterminated_output_position():
@@ -383,7 +393,7 @@ def test_scan_zero_width_regex_tries_each_position_about_once(monkeypatch):
         f"text{'q' if i % 50 == 0 else ''} <? $v = {i}; !>\n" for i in range(199))
     segs, error = _run_snippets(text, make_state())
     assert error is None
-    assert sum(isinstance(seg, PatternMatch) for seg in segs) == 4
+    assert segs.count("q") == 4
     assert tries <= len(text) + 200
 
 
@@ -532,7 +542,6 @@ def test_scan_indent_and_starts_line_match_the_rebuilt_source_line(
             source.append(seg.raw)
             offset += len(seg.raw) + len(seg.existing_output or "")
         else:
-            piece = seg if isinstance(seg, str) else seg.matched
-            source.append(piece)
-            offset += len(piece)
+            source.append(seg)
+            offset += len(seg)
     assert offset == len(text)

@@ -506,11 +506,11 @@ def test_set_style_switches_engine_settings():
     state = make_state()
     run("set_style('html');", state)
     assert state.hooks[0] == BeginEnd("<!--<?", "!>-->")
-    assert state.line_comment is None
+    assert state.style.line_comment is None
     assert state.out_delims == OutDelims("<!-- +", " -->", "<!-- -", " -->")
     run("set_style('python');", state)
-    assert state.indent_adjust is True
-    assert state.line_comment == "#"
+    assert state.style.indent_adjust is True
+    assert state.style.line_comment == "#"
 
 
 def test_set_style_unknown_name():

@@ -1,7 +1,9 @@
 """The whole-run contract, held by a property through `cli.main` over drawn
 trees of files: conf chains (some broken), documents of every style (CRLF,
-bytes that are not UTF-8, a snippet error, a runaway loop), a symlink, a
-hard-linked file, a FIFO and a directory given as FILE."""
+bytes that are not UTF-8, a snippet error, one whose message holds a line
+break, a runaway loop), a symlink, a hard-linked file, a FIFO and a
+directory given as FILE, and a second name for a document: a symlink to it
+from another directory."""
 import contextlib
 import io
 import os
@@ -38,7 +40,7 @@ def _document_bytes(draw):
     """A file name extension and the bytes of a document in that style."""
     style, text = draw(_documents())
     kind = draw(st.sampled_from(
-        ["plain", "plain", "conf", "latin1", "error", "runaway"]))
+        ["plain", "plain", "conf", "latin1", "error", "newline", "runaway"]))
     if kind == "conf":
         text = "<? read_starfish_conf(); echo $who; !>\n" + text
     data = text.encode()
@@ -46,6 +48,8 @@ def _document_bytes(draw):
         data = b"\xff\xfe" + data + b"\n<? echo 'caf\xe9'; !>\n"
     elif kind == "error":
         data += b"\n<? echo $nope; !>\n"
+    elif kind == "newline":
+        data += b'\n<? set_style("a\\nb"); !>\n'
     elif kind == "runaway":
         data += _RUNAWAY.encode()
     return (style.extensions or (".txt",))[-1], data  # detected as `style`
@@ -53,10 +57,11 @@ def _document_bytes(draw):
 
 @st.composite
 def _trees(draw):
-    """(confs, docs, extras, order): a conf source or None per directory;
-    (directory, document) per document given as FILE; (kind, directory,
-    document) per odd file, where only a link uses the document, as its
-    target's; and a permutation of all FILE arguments."""
+    """(confs, docs, extras, aliases, order): a conf source or None per
+    directory; (directory, document) per document given as FILE; (kind,
+    directory, document) per odd file, where only a link uses the document,
+    as its target's; (document index, directory) per symlink to a document
+    given as FILE too; and a permutation of all FILE arguments."""
     confs = [draw(_CONFS) for _ in _DIRS]
     docs = draw(st.lists(st.tuples(st.sampled_from(_DIRS), _document_bytes()),
                          min_size=1, max_size=4))
@@ -65,13 +70,16 @@ def _trees(draw):
         if draw(st.booleans()):
             extras.append((kind, draw(st.sampled_from(_DIRS)),
                            draw(_document_bytes())))
-    order = draw(st.permutations(range(len(docs) + len(extras))))
-    return confs, docs, extras, order
+    aliases = draw(st.lists(st.tuples(st.integers(0, len(docs) - 1),
+                                      st.sampled_from(_DIRS)), max_size=2))
+    order = draw(st.permutations(range(len(docs) + len(extras)
+                                       + len(aliases))))
+    return confs, docs, extras, aliases, order
 
 
 def _build(root, tree):
     """Write `tree` under `root`; returns the FILE arguments, in order."""
-    confs, docs, extras, order = tree
+    confs, docs, extras, aliases, order = tree
     for d, conf in zip(_DIRS, confs):
         os.makedirs(os.path.join(root, d), exist_ok=True)
         if conf is not None:
@@ -83,8 +91,8 @@ def _build(root, tree):
         with open(files[-1], "wb") as fh:
             fh.write(data)
     for kind, d, (ext, data) in extras:
-        # A symlink or hard link's target is no FILE argument itself, so
-        # every FILE names a different file.
+        # A symlink or hard link's target is no FILE argument itself; only
+        # an alias below names a file that another FILE names.
         path = os.path.join(root, d, f"{kind}{ext}")
         if kind in ("symlink", "hardlink"):
             target = os.path.join(root, f"{kind}-target{ext}")
@@ -98,6 +106,10 @@ def _build(root, tree):
             os.mkfifo(path)
         else:
             os.mkdir(path)
+        files.append(path)
+    for j, (i, d) in enumerate(aliases):
+        path = os.path.join(root, d, f"alias{j}{docs[i][1][0]}")
+        os.symlink(os.path.relpath(files[i], os.path.dirname(path)), path)
         files.append(path)
     return [files[i] for i in order]
 
@@ -140,11 +152,15 @@ def test_a_run_fails_cleanly_and_agrees_with_one_file_at_a_time(tree):
                                   for side in ("cli", "one"))
             files = _build(cli_root, tree)
             one_files = _build(one_root, tree)
-            failed = set()
+            # A file named twice runs once, under the name given first.
+            failed, done = set(), set()
             for i, path in enumerate(one_files):
+                if os.path.realpath(path) in done:
+                    continue
+                done.add(os.path.realpath(path))
                 try:
                     process_file(path, detect_style(path))
-                except (EngineError, OSError):
+                except EngineError:
                     failed.add(i)
             before = {path: os.stat(path) for path in files}
             before_bytes = {path: _bytes(path) for path in files}
