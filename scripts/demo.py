@@ -116,7 +116,8 @@ def main():
                 show(title, before, f.read())
 
         # file_modification_date() reads the blog's mtime, which the update
-        # moved to now; pin it again, so the rerun sees the date printed.
+        # moved to now; pin it again, so the rerun sees the date printed
+        # (README, Limitations: the run after a later-day write).
         os.utime(blog, (when, when))
         before = snapshot((java, mk, blog))
         subprocess.run(update, check=True)

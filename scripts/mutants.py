@@ -97,6 +97,19 @@ MUTANTS = {
         "scanner.py", "test_scanner.py",
         "elif replace:",
         "elif False:"),
+    "a target edited while the file is computed is written over": (
+        "rewriter.py", "test_cli.py",
+        "if _version(now) != _version(current_stat):",
+        "if False:"),
+    "the deadline is disarmed after the write": (
+        "rewriter.py", "test_cli.py",
+        "        return write_if_changed(target, new_text, current, current_stat)",
+        "            return write_if_changed(target, new_text, current, "
+        "current_stat)"),
+    "an -o target that is the input is not refused": (
+        "rewriter.py", "test_cli.py",
+        "if current_stat is not None and os.path.samestat(current_stat, st):",
+        "if False:"),
 }
 
 

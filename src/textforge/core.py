@@ -60,7 +60,8 @@ class ParseError(EngineError):
 
 
 class EvalError(EngineError):
-    """Scriptlet runtime failure: undefined variable, unknown function, bad arity."""
+    """Scriptlet runtime failure: undefined variable, unknown function, bad
+    arity, a budget run out, or the file's deadline passed."""
 
 
 class UnterminatedSnippetError(EngineError):

@@ -10,9 +10,11 @@ starts its line) and keeps only the bare output.
 from __future__ import annotations
 
 import os
+import signal
 import stat
 
-from .core import EngineError, EngineState, OutDelims, Style
+from . import scriptlet
+from .core import EngineError, EngineState, EvalError, OutDelims, Style
 from .scanner import Snippet, iter_segments
 from .scriptlet import eval_program, parse_scriptlet
 
@@ -150,9 +152,12 @@ def process_file(path: str, style: Style, *, out_path: str | None = None,
 
     Without `out_path` the file is updated in place (written only when its
     bytes change). With `out_path` it is replaced: the output goes there,
-    and the input is never touched; an `out_path` that is the input itself,
-    by any name, is refused. A file whose every newline is CRLF is
-    processed with LF and written with CRLF; any other file is processed
+    and the input is never touched. Every file is read before any code
+    runs, so an `out_path` that is the input itself, by any name, or that
+    exists but is not a readable regular file, is refused first. The code
+    runs under a deadline of `scriptlet.MAX_SECONDS` (see `_Deadline`),
+    which ends before the write starts. A file whose every newline is CRLF
+    is processed with LF and written with CRLF; any other file is processed
     byte for byte. Every error it raises is an `EngineError` located at
     `path`: its offset is read against the text as processed, or against
     `init_code` for an error there, and an `OSError` becomes one at
@@ -163,37 +168,72 @@ def process_file(path: str, style: Style, *, out_path: str | None = None,
     source = ""  # what the offset of an error points into
     try:
         data, st = _read_regular(path)
-        if (replace and os.path.exists(out_path)
-                and os.path.samefile(out_path, path)):
-            raise EngineError(f"refusing to write '{out_path}': it is the input")
+        target, current, current_stat = path, data, st
+        if replace:
+            target = out_path
+            try:
+                current, current_stat = _read_regular(out_path)
+            except FileNotFoundError:
+                current = current_stat = None
+            if current_stat is not None and os.path.samestat(current_stat, st):
+                raise EngineError(f"refusing to write '{out_path}': it is the input")
         text = data.decode("utf-8", "surrogateescape")
         # A one-character search is cheap; counting is not, so it comes last.
         crlf = "\r" in text and 0 < text.count("\r\n") == text.count("\n")
         if crlf:
             text = text.replace("\r\n", "\n")
-        if init_code:
-            source = init_code
-            eval_program(parse_scriptlet(init_code), state)
-        source = text
 
-        parts: list[str] = []
-        for seg in iter_segments(text, state, replace):
-            if type(seg) is str:
-                parts.append(seg)
-            else:
-                _run_snippet(parts, seg, state, replace)
-        new_text = "".join(parts)
-        if crlf:
-            new_text = new_text.replace("\n", "\r\n")
-
-        if replace:
-            return write_if_changed(out_path, new_text)
-        return write_if_changed(path, new_text, data, st)
+        with _Deadline():
+            if init_code:
+                source = init_code
+                eval_program(parse_scriptlet(init_code), state)
+            source = text
+            parts: list[str] = []
+            for seg in iter_segments(text, state, replace):
+                if type(seg) is str:
+                    parts.append(seg)
+                else:
+                    _run_snippet(parts, seg, state, replace)
+            new_text = "".join(parts)
+            if crlf:
+                new_text = new_text.replace("\n", "\r\n")
+        return write_if_changed(target, new_text, current, current_stat)
     except OSError as exc:
         raise EngineError(str(exc), file=path) from None
     except EngineError as exc:
         exc.locate(path, source)
         raise
+
+
+class _Deadline:
+    """A block in which an `EvalError` with no offset is raised, from a
+    SIGALRM handler, once `scriptlet.MAX_SECONDS` have passed. Leaving it
+    disarms the real-time timer and puts the previous handler back. There
+    is no deadline where `signal.setitimer` is missing, off the main
+    thread, or while the real-time timer is already running for another
+    part of the process."""
+
+    def __enter__(self):
+        try:
+            self.armed = not signal.getitimer(signal.ITIMER_REAL)[0]
+            if self.armed:
+                self.previous = signal.signal(signal.SIGALRM, _expire)
+        except (AttributeError, ValueError):  # no setitimer; not the main thread
+            self.armed = False
+        if self.armed:
+            signal.setitimer(signal.ITIMER_REAL, scriptlet.MAX_SECONDS)
+
+    def __exit__(self, *exc_info):
+        if self.armed:
+            try:
+                signal.setitimer(signal.ITIMER_REAL, 0)
+            finally:  # runs even if the alarm went off just before the disarm
+                signal.signal(signal.SIGALRM, self.previous)
+
+
+def _expire(signum, frame):
+    raise EvalError(f"time limit exceeded: the file took more than "
+                    f"{scriptlet.MAX_SECONDS} s")
 
 
 def _read_regular(path: str) -> tuple[bytes, os.stat_result]:
@@ -210,26 +250,31 @@ def _read_regular(path: str) -> tuple[bytes, os.stat_result]:
         return fh.read(), os.fstat(fh.fileno())
 
 
-def write_if_changed(path: str, text: str, current: bytes | None = None,
-                     current_stat: os.stat_result | None = None) -> bool:
-    """Write `text` to `path` atomically, but only when its bytes differ.
+def _version(info: os.stat_result | None) -> tuple | None:
+    """What tells a file from itself after an edit; None for no file."""
+    if info is None:
+        return None
+    return info.st_ino, info.st_size, info.st_mtime_ns, info.st_ctime_ns
+
+
+def write_if_changed(path: str, text: str, current: bytes | None,
+                     current_stat: os.stat_result | None) -> bool:
+    """Write `text` to `path` atomically, but only when its bytes differ
+    from `current`, the target's bytes as the caller read them, whose stat
+    result is `current_stat` (both None for a target that was missing).
 
     Identical content means no write at all, so timestamps survive untouched.
-    A caller that already holds the target's bytes and stat result passes
-    them as `current` and `current_stat`; otherwise the target is read here
-    (a missing target always differs; one not a regular file is refused).
     Updates go through a temp file in the same directory followed by a
     rename; an existing file keeps its permission bits. A symlink is written
     through: the file it resolves to is replaced and the link stays. A
     target with more than one hard link is refused with an EngineError when
-    its bytes would change. A failed write raises an OSError naming `path`.
+    its bytes would change, and so is a target that changed after it was
+    read: just before the rename, its inode, size, mtime or ctime differ
+    from `current_stat`, or it has appeared or gone. Then the temp file is
+    removed and nothing is written. A failed write raises an OSError
+    naming `path`.
     """
     data = text.encode("utf-8", "surrogateescape")
-    if current is None:
-        try:
-            current, current_stat = _read_regular(path)
-        except FileNotFoundError:
-            pass
     if current == data:
         return False
     if current_stat is not None and current_stat.st_nlink > 1:
@@ -259,6 +304,13 @@ def write_if_changed(path: str, text: str, current: bytes | None = None,
             fh.write(data)
         if mode is not None:
             os.chmod(tmp, mode)
+        try:
+            now = os.stat(path)
+        except FileNotFoundError:
+            now = None
+        if _version(now) != _version(current_stat):
+            raise EngineError(f"'{path}' changed while textforge ran; "
+                              "not written")
         os.replace(tmp, target)
     except BaseException as exc:
         if tmp is not None:

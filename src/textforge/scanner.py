@@ -18,6 +18,7 @@ from collections.abc import Iterator
 from .core import (
     BeginEnd,
     EngineState,
+    EvalError,
     Hook,
     OutDelims,
     UnterminatedOutputError,
@@ -190,7 +191,11 @@ def iter_segments(text: str, state: EngineState,
     while True:
         if state.hooks is not hooks:  # set_style(): a dropped hook's id recurs
             hooks, found = state.hooks, {}
-        match = find_next_match(text, pos, hooks, found)
+        try:
+            match = find_next_match(text, pos, hooks, found)
+        except EvalError as exc:  # process_file's deadline, mid-search
+            exc.at = pos
+            raise
         if match is None:
             if pos < n:
                 yield text[pos:]

@@ -154,6 +154,12 @@ MAX_NESTING = 100
 # htmlquote() result.
 MAX_LOOP_ITERATIONS = 1_000_000
 MAX_STRING = 2**26
+# Wall-clock budget of one file's compute step in `rewriter.process_file`:
+# -e code, confs, scans and snippets, from the file's reads to its write. A
+# `hooks` benchmark pass takes about 0.04 s and one snippet at the loop
+# budget about 0.4 s, so only a runaway (a regex that backtracks without
+# end, say) comes near it.
+MAX_SECONDS = 60
 
 
 class _Run:

@@ -84,7 +84,8 @@ def test_criterion_03_update_is_idempotent_and_mtime_safe(report, tmp_path):
         assert process_file(str(f), STYLES["java"]) is False
         assert f.read_text() == goldens.JAVA_UPDATED_TEST
         assert os.stat(f).st_mtime_ns == past * 10**9
-        assert write_if_changed(str(f), goldens.JAVA_UPDATED_TEST) is False
+        assert write_if_changed(str(f), goldens.JAVA_UPDATED_TEST,
+                                f.read_bytes(), os.stat(f)) is False
 
 
 def test_criterion_04_replace_yields_bare_release_source(report, tmp_path):

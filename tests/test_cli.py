@@ -1,16 +1,18 @@
 import gc
 import os
 import re
+import signal
 import stat
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
 
 import goldens
 import textforge
-from textforge import config
+from textforge import config, rewriter, scriptlet
 from textforge.cli import USAGE, main, parse_args
 from textforge.core import UsageError
 from textforge.styles import STYLES
@@ -527,6 +529,145 @@ def test_main_stops_runaway_loops_and_strings(tmp_path, capsys):
         assert re.fullmatch(re.escape(f"{f}:1:") + r"\d+: " + re.escape(message) + "\n",
                             err)
         assert f.read_text() == source
+
+
+# --- the compute step: concurrent edits and the deadline -----------------------
+
+def _edit_mid_run(monkeypatch, edit):
+    """Make `edit()` run once, as the first snippet starts."""
+    run = rewriter.eval_program
+    edits = [edit]
+
+    def eval_program(program, state):
+        while edits:
+            edits.pop()()
+        return run(program, state)
+
+    monkeypatch.setattr(rewriter, "eval_program", eval_program)
+
+
+@pytest.mark.parametrize("target, before, edit, after", [
+    ("t.txt", None, lambda p: p.write_text(p.read_text() + "USER EDIT\n"),
+     "<? echo 'x'; !>\nUSER EDIT\n"),
+    ("out.txt", "old\n", lambda p: p.write_text("USER EDIT\n"), "USER EDIT\n"),
+    ("out.txt", None, lambda p: p.write_text("USER EDIT\n"), "USER EDIT\n"),
+    ("out.txt", "old\n", lambda p: p.unlink(), None),
+], ids=["update", "replace-changed", "replace-appeared", "replace-gone"])
+def test_main_keeps_an_edit_made_while_it_runs(tmp_path, monkeypatch, capsys,
+                                               target, before, edit, after):
+    monkeypatch.chdir(tmp_path)
+    source = "<? echo 'x'; !>\n"
+    (tmp_path / "t.txt").write_text(source)
+    args = ["t.txt"] if target == "t.txt" else ["-replace", f"-o={target}", "t.txt"]
+    if before is not None:
+        (tmp_path / target).write_text(before)
+    _edit_mid_run(monkeypatch, lambda: edit(tmp_path / target))
+    assert main(args) == 1
+    assert capsys.readouterr().err == \
+        f"t.txt:0:0: '{target}' changed while textforge ran; not written\n"
+    if after is None:
+        assert not (tmp_path / target).exists()
+    else:
+        assert (tmp_path / target).read_text() == after
+    if target != "t.txt":
+        assert (tmp_path / "t.txt").read_text() == source
+    assert not [n for n in os.listdir(tmp_path) if n.startswith(".textforge-")]
+
+
+def _no_alarm():
+    """Whether no deadline is left behind: the timer is off and SIGALRM has
+    its default handler."""
+    return (signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+            and signal.getsignal(signal.SIGALRM) == signal.SIG_DFL)
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="no setitimer")
+def test_main_stops_a_regex_hook_that_backtracks_past_the_deadline(
+        tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(scriptlet, "MAX_SECONDS", 0.3)
+    monkeypatch.chdir(tmp_path)
+    snippet = "<? add_regex_hook('(a|aa)*b', 'x'); echo 'hi'; !>"
+    source = f"{snippet}\n{'a' * 40}\n"
+    (tmp_path / "r.txt").write_text(source)
+    start = time.monotonic()
+    assert main(["r.txt"]) == 1
+    assert time.monotonic() - start < 1.3
+    # The scan had resumed right after the snippet.
+    assert capsys.readouterr().err == (f"r.txt:1:{len(snippet) + 1}: time "
+                                       "limit exceeded: the file took more "
+                                       "than 0.3 s\n")
+    assert (tmp_path / "r.txt").read_text() == source
+    assert os.listdir(tmp_path) == ["r.txt"]
+    assert _no_alarm()
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="no setitimer")
+def test_main_stops_a_runaway_loop_past_the_deadline(tmp_path, monkeypatch,
+                                                     capsys):
+    monkeypatch.setattr(scriptlet, "MAX_SECONDS", 0.3)
+    monkeypatch.setattr(scriptlet, "MAX_LOOP_ITERATIONS", 10**12)
+    monkeypatch.chdir(tmp_path)
+    for k in range(10):
+        (tmp_path / f"d{k}.dat").write_text("")
+    source = ("x <? " + "for $x in glob('*') { " * 12 + "echo $x;" + " }" * 12
+              + " !>\n")
+    (tmp_path / "t.txt").write_text(source)
+    start = time.monotonic()
+    assert main(["t.txt"]) == 1
+    assert time.monotonic() - start < 1.3
+    assert re.fullmatch(r"t\.txt:1:\d+: time limit exceeded: the file took "
+                        r"more than 0\.3 s\n", capsys.readouterr().err)
+    assert (tmp_path / "t.txt").read_text() == source
+    assert len(os.listdir(tmp_path)) == 11
+    assert _no_alarm()
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="no setitimer")
+def test_main_disarms_the_deadline_before_it_writes(tmp_path, monkeypatch):
+    # A write slower than the limit still completes: only code runs under it.
+    monkeypatch.setattr(scriptlet, "MAX_SECONDS", 0.2)
+    replace = os.replace
+
+    def slow_replace(src, dst):
+        time.sleep(0.5)
+        replace(src, dst)
+
+    monkeypatch.setattr(rewriter.os, "replace", slow_replace)
+    f = tmp_path / "t.txt"
+    f.write_text("<? echo 'x'; !>\n")
+    assert main([str(f)]) == 0
+    assert f.read_text() == "<? echo 'x'; !>#+\nx#-\n\n"
+    assert _no_alarm()
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="no setitimer")
+def test_main_runs_without_a_deadline_it_cannot_own(tmp_path):
+    timed, threaded = tmp_path / "timed.txt", tmp_path / "threaded.txt"
+    for f in (timed, threaded):
+        f.write_text("<? echo 'x'; !>\n")
+    fired = []
+
+    def handler(signum, frame):
+        fired.append(signum)
+
+    previous = signal.signal(signal.SIGALRM, handler)
+    signal.setitimer(signal.ITIMER_REAL, 100)
+    try:  # another part of the process owns the timer
+        assert main([str(timed)]) == 0
+        assert signal.getitimer(signal.ITIMER_REAL)[0] > 90
+        assert signal.getsignal(signal.SIGALRM) is handler
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert fired == []
+    result = []
+    worker = threading.Thread(target=lambda: result.append(main([str(threaded)])))
+    worker.start()  # off the main thread, where no handler can be set
+    worker.join(timeout=10)
+    assert not worker.is_alive()
+    assert result == [0]
+    for f in (timed, threaded):
+        assert f.read_text() == "<? echo 'x'; !>#+\nx#-\n\n"
 
 
 # --- start-up cost ------------------------------------------------------------

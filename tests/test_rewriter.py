@@ -517,25 +517,30 @@ def test_process_keys_each_glob_on_its_directory(tmp_path):
 
 # --- write_if_changed ------------------------------------------------------
 
+def _as_read(f):
+    """The bytes and stat result of `f`, as a caller reads them first."""
+    return f.read_bytes(), os.stat(f)
+
+
 def test_write_if_changed_skips_identical_content(tmp_path):
     f = tmp_path / "a.txt"
     f.write_text("same")
     past = 1_000_000_000
     os.utime(f, (past, past))
-    assert write_if_changed(str(f), "same") is False
+    assert write_if_changed(str(f), "same", *_as_read(f)) is False
     assert os.stat(f).st_mtime_ns == past * 10**9
 
 
 def test_write_if_changed_writes_new_content(tmp_path):
     f = tmp_path / "a.txt"
     f.write_text("old")
-    assert write_if_changed(str(f), "new") is True
+    assert write_if_changed(str(f), "new", *_as_read(f)) is True
     assert f.read_text() == "new"
 
 
 def test_write_if_changed_creates_missing_file(tmp_path):
     f = tmp_path / "fresh.txt"
-    assert write_if_changed(str(f), "content") is True
+    assert write_if_changed(str(f), "content", None, None) is True
     assert f.read_text() == "content"
 
 
@@ -543,15 +548,15 @@ def test_write_if_changed_preserves_permissions(tmp_path):
     f = tmp_path / "a.sh"
     f.write_text("old")
     os.chmod(f, 0o750)
-    write_if_changed(str(f), "new")
+    write_if_changed(str(f), "new", *_as_read(f))
     assert statmod.S_IMODE(os.stat(f).st_mode) == 0o750
 
 
 def test_write_if_changed_leaves_no_temp_files(tmp_path):
     f = tmp_path / "a.txt"
     f.write_text("old")
-    write_if_changed(str(f), "new")
-    write_if_changed(str(f), "new")
+    write_if_changed(str(f), "new", *_as_read(f))
+    write_if_changed(str(f), "new", *_as_read(f))
     assert os.listdir(tmp_path) == ["a.txt"]
 
 
@@ -567,7 +572,7 @@ def test_write_if_changed_cleans_up_when_the_rename_fails(tmp_path,
 
     monkeypatch.setattr(rewriter.os, "replace", refuse)
     with pytest.raises(PermissionError) as exc:
-        write_if_changed(str(f), "new")
+        write_if_changed(str(f), "new", *_as_read(f))
     assert exc.value.filename == str(f)
     assert os.listdir(tmp_path) == ["a.txt"]
     assert f.read_text() == "old"
@@ -582,7 +587,7 @@ def test_write_if_changed_draws_another_temp_name_when_one_exists(
     taken.write_text("someone else's")
     draws = iter([bytes(6), b"\x01" * 6])  # the first name is taken
     monkeypatch.setattr(rewriter.os, "urandom", lambda n: next(draws))
-    assert write_if_changed(str(f), "new") is True
+    assert write_if_changed(str(f), "new", *_as_read(f)) is True
     assert f.read_text() == "new"
     assert taken.read_text() == "someone else's"
     assert sorted(os.listdir(tmp_path)) == [taken.name, "a.txt"]
