@@ -74,7 +74,7 @@ MUTANTS = {
         "end < best[2]",
         "end <= best[2]"),
     "the regular-file refusal is skipped": (
-        "rewriter.py", "test_cli.py",
+        "core.py", "test_cli.py",
         "if stat.S_ISREG(os.fstat(fd).st_mode):",
         "if True:"),
     "the scan keeps its cache when set_style() drops the hooks": (
@@ -106,6 +106,10 @@ MUTANTS = {
         "        return write_if_changed(target, new_text, current, current_stat)",
         "            return write_if_changed(target, new_text, current, "
         "current_stat)"),
+    "a conf is decoded without the newline rule": (
+        "config.py", "test_config.py",
+        "source = read_text(path)[0]",
+        'source = read_text(path)[2].decode("utf-8", "surrogateescape")'),
     "an -o target that is the input is not refused": (
         "rewriter.py", "test_cli.py",
         "if current_stat is not None and os.path.samestat(current_stat, st):",

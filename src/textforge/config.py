@@ -4,13 +4,15 @@ When a snippet calls `read_starfish_conf()`, the engine walks upward from the
 processed file's directory collecting `starfish.conf` from each consecutive
 ancestor; the first directory without one ends the walk. The collected files
 run top-down as scriptlet programs against the file's scope, so deeper confs
-see (and may override) what their ancestors defined.
+see (and may override) what their ancestors defined. A conf is read as FILE
+is, by `core.read_text`: regular files only, UTF-8 with undecodable bytes
+passed through, an all-CRLF conf run with LF and any other byte for byte.
 """
 from __future__ import annotations
 
 import os
 
-from .core import EngineError, EngineState
+from .core import EngineError, EngineState, read_text
 from .scriptlet import eval_program, parse_scriptlet
 
 CONF_NAME = "starfish.conf"
@@ -46,8 +48,7 @@ def exec_conf_chain(chain: tuple[str, ...], state: EngineState) -> None:
     saved_base = state.base_dir
     try:
         for path in chain:
-            with open(path, "rb") as fh:
-                source = fh.read().decode("utf-8", "surrogateescape")
+            source = read_text(path)[0]
             state.base_dir = os.path.dirname(path)
             try:
                 eval_program(parse_scriptlet(source), state)

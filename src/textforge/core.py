@@ -10,10 +10,13 @@ is the one place that turns it into a line and column: `rewriter.process_file`
 calls it with the file text or the `-e` code, and `config` with a conf's.
 The hook and delimiter types are plain `namedtuple`s that check nothing;
 the scriptlet builtins that build them from outside input do the checking.
+`read_text` is the one way a file's bytes become the text textforge runs,
+FILE's and each conf's alike.
 """
 from __future__ import annotations
 
 import os
+import stat
 from collections import namedtuple
 
 
@@ -149,3 +152,31 @@ def line_col(text: str, offset: int) -> tuple[int, int]:
     line = text.count("\n", 0, offset) + 1
     start = text.rfind("\n", 0, offset) + 1
     return line, offset - start + 1
+
+
+def read_regular(path: str) -> tuple[bytes, os.stat_result]:
+    """`path`'s bytes and stat result. Anything but a regular file is refused
+    unread; the open does not block, so a FIFO cannot hang the run."""
+    def opener(name: str, flags: int) -> int:
+        fd = os.open(name, flags | getattr(os, "O_NONBLOCK", 0))
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            return fd
+        os.close(fd)
+        raise EngineError(f"refusing to read '{path}': not a regular file")
+
+    with open(path, "rb", opener=opener) as fh:
+        return fh.read(), os.fstat(fh.fileno())
+
+
+def read_text(path: str) -> tuple[str, bool, bytes, os.stat_result]:
+    """`path`'s text, whether it was all CRLF, and `read_regular`'s bytes and
+    stat result. The bytes are decoded as UTF-8, an undecodable one kept as
+    a lone surrogate; in a file whose every newline is CRLF each becomes LF,
+    and any other file is decoded byte for byte."""
+    data, st = read_regular(path)
+    text = data.decode("utf-8", "surrogateescape")
+    # A one-character search is cheap; counting is not, so it comes last.
+    crlf = "\r" in text and 0 < text.count("\r\n") == text.count("\n")
+    if crlf:
+        text = text.replace("\r\n", "\n")
+    return text, crlf, data, st

@@ -14,7 +14,8 @@ import signal
 import stat
 
 from . import scriptlet
-from .core import EngineError, EngineState, EvalError, OutDelims, Style
+from .core import (EngineError, EngineState, EvalError, OutDelims, Style,
+                   read_regular, read_text)
 from .scanner import Snippet, iter_segments
 from .scriptlet import eval_program, parse_scriptlet
 
@@ -156,32 +157,27 @@ def process_file(path: str, style: Style, *, out_path: str | None = None,
     runs, so an `out_path` that is the input itself, by any name, or that
     exists but is not a readable regular file, is refused first. The code
     runs under a deadline of `scriptlet.MAX_SECONDS` (see `_Deadline`),
-    which ends before the write starts. A file whose every newline is CRLF
-    is processed with LF and written with CRLF; any other file is processed
-    byte for byte. Every error it raises is an `EngineError` located at
-    `path`: its offset is read against the text as processed, or against
-    `init_code` for an error there, and an `OSError` becomes one at
-    `path`:0:0 with the same text. One from a conf keeps the conf's name.
+    which ends before the write starts. FILE is read by `read_text`, and
+    one read as all-CRLF is written with CRLF. Every error it raises is an
+    `EngineError` located at `path`: its offset is read against the text as
+    processed, or against `init_code` for an error there, and an `OSError`
+    becomes one at `path`:0:0 with the same text. One from a conf keeps the
+    conf's name.
     """
-    state = EngineState(path, style)
     replace = out_path is not None
     source = ""  # what the offset of an error points into
     try:
-        data, st = _read_regular(path)
+        state = EngineState(path, style)  # abspath fails without a cwd
+        text, crlf, data, st = read_text(path)
         target, current, current_stat = path, data, st
         if replace:
             target = out_path
             try:
-                current, current_stat = _read_regular(out_path)
+                current, current_stat = read_regular(out_path)
             except FileNotFoundError:
                 current = current_stat = None
             if current_stat is not None and os.path.samestat(current_stat, st):
                 raise EngineError(f"refusing to write '{out_path}': it is the input")
-        text = data.decode("utf-8", "surrogateescape")
-        # A one-character search is cheap; counting is not, so it comes last.
-        crlf = "\r" in text and 0 < text.count("\r\n") == text.count("\n")
-        if crlf:
-            text = text.replace("\r\n", "\n")
 
         with _Deadline():
             if init_code:
@@ -234,20 +230,6 @@ class _Deadline:
 def _expire(signum, frame):
     raise EvalError(f"time limit exceeded: the file took more than "
                     f"{scriptlet.MAX_SECONDS} s")
-
-
-def _read_regular(path: str) -> tuple[bytes, os.stat_result]:
-    """`path`'s bytes and stat result. Anything but a regular file is refused
-    unread; the open does not block, so a FIFO cannot hang the run."""
-    def opener(name: str, flags: int) -> int:
-        fd = os.open(name, flags | getattr(os, "O_NONBLOCK", 0))
-        if stat.S_ISREG(os.fstat(fd).st_mode):
-            return fd
-        os.close(fd)
-        raise EngineError(f"refusing to read '{path}': not a regular file")
-
-    with open(path, "rb", opener=opener) as fh:
-        return fh.read(), os.fstat(fh.fileno())
 
 
 def _version(info: os.stat_result | None) -> tuple | None:

@@ -12,7 +12,7 @@ import pytest
 
 import goldens
 import textforge
-from textforge import config, rewriter, scriptlet
+from textforge import config, core, rewriter, scriptlet
 from textforge.cli import USAGE, main, parse_args
 from textforge.core import UsageError
 from textforge.styles import STYLES
@@ -342,7 +342,7 @@ def test_main_reports_an_unreadable_conf_at_the_read_starfish_conf_call(
         tmp_path, monkeypatch, capsys):
     conf = tmp_path / "starfish.conf"
     conf.write_text("$x = 1;\n")
-    monkeypatch.setattr(config, "open", _failing_for(
+    monkeypatch.setattr(core, "open", _failing_for(
         open, conf, 13, "Permission denied"), raising=False)
     f = tmp_path / "t.txt"
     f.write_text("a\n  <? read_starfish_conf(); echo $x; !>\n")
@@ -357,6 +357,36 @@ def test_main_reports_missing_file(tmp_path, capsys):
     assert main([str(missing)]) == 1
     assert f"{missing}:0:0: " in capsys.readouterr().err
     assert not missing.exists()
+
+
+def test_main_reports_a_relative_file_without_a_working_directory(
+        monkeypatch, capsys):
+    # What a run sees once the directory it was started in is removed.
+    def gone():
+        raise FileNotFoundError(2, "No such file or directory")
+
+    monkeypatch.setattr(os, "getcwd", gone)
+    assert main(["f.txt"]) == 1
+    err = capsys.readouterr().err
+    assert err == "f.txt:0:0: [Errno 2] No such file or directory\n"
+    assert "Traceback" not in err
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_main_refuses_a_conf_swapped_for_a_fifo_at_the_snippet(
+        tmp_path, monkeypatch, capsys):
+    # The walk passes only regular files, so the conf is swapped for a FIFO
+    # between the walk and the read. The refusal has no offset, so it is
+    # placed where the code of the snippet that read the conf starts.
+    conf = tmp_path / "starfish.conf"
+    os.mkfifo(conf)
+    monkeypatch.setattr(config, "find_conf_chain", lambda start: (str(conf),))
+    f = tmp_path / "t.txt"
+    f.write_text("a\n  <? read_starfish_conf(); !>\n")
+    assert main([str(f)]) == 1
+    assert capsys.readouterr().err == (
+        f"{f}:2:5: refusing to read '{conf}': not a regular file\n")
+    assert f.read_text() == "a\n  <? read_starfish_conf(); !>\n"
 
 
 def test_main_writes_one_line_for_a_message_with_a_line_break(

@@ -1,6 +1,8 @@
 import os
+import tempfile
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from helpers import make_state
 from textforge.config import (
@@ -8,7 +10,7 @@ from textforge.config import (
     exec_conf_chain,
     find_conf_chain,
 )
-from textforge.core import EvalError, ParseError
+from textforge.core import EngineError, EvalError, ParseError
 from textforge.rewriter import process_file
 from textforge.scriptlet import eval_program, parse_scriptlet
 from textforge.styles import STYLES
@@ -108,6 +110,14 @@ def test_exec_errors_name_the_conf_file(tmp_path):
     assert exc.value.file == worse
 
 
+def test_exec_errors_in_a_crlf_conf_are_placed_as_in_its_lf_twin(tmp_path):
+    bad = tmp_path / CONF_NAME
+    bad.write_bytes(b"$a = 1;\r\n  $b = $nope;\r\n")
+    with pytest.raises(EvalError) as exc:
+        exec_conf_chain((str(bad),), make_state(path=str(tmp_path / "f.txt")))
+    assert (exc.value.file, exc.value.line, exc.value.col) == (str(bad), 2, 8)
+
+
 def test_exec_empty_chain_changes_nothing(tmp_path):
     state = make_state(path=str(tmp_path / "f.txt"))
     exec_conf_chain(find_conf_chain(str(tmp_path)), state)
@@ -135,3 +145,104 @@ def test_load_uses_the_processed_files_directory(tmp_path):
     state = make_state(path=str(tmp_path / "posts" / "entry.txt"))
     eval_program(READ_CONF, state)
     assert state.scope["here"] == "posts"
+
+
+# --- a conf is read as FILE is ----------------------------------------------
+
+# Runs of text for a conf string's lines; a string's closing quote is never
+# among them, and neither is a line break.
+_STRING_LINE = st.text(alphabet="ab #'$", max_size=6)
+
+
+@st.composite
+def _conf_sources(draw):
+    """The LF source of a conf that assigns strings spanning lines, as
+    triple-quoted strings (some with a line break right after the opening
+    quotes) and double-quoted ones, between comment and blank lines; and
+    the names it assigns."""
+    lines, names = [], []
+    for k in range(draw(st.integers(1, 3))):
+        body = "\n".join(draw(st.lists(_STRING_LINE, min_size=1, max_size=4)))
+        if draw(st.booleans()):
+            lead = "\n" if draw(st.booleans()) else ""
+            literal = f'"""{lead}{body}"""'
+        else:
+            literal = f'"{body}"'
+        lines.append(draw(st.sampled_from(["", "# a comment", "$z = 1;"])))
+        lines.append(f"$v{k} = {literal};")
+        names.append(f"v{k}")
+    return "\n".join(lines) + "\n", names
+
+
+def _update_and_replace(conf: bytes, document: bytes) -> tuple[bytes, bytes]:
+    """What update writes to `document` and what replace writes for it, with
+    `conf` as the one conf of their directory."""
+    with tempfile.TemporaryDirectory() as tmp:
+        with open(os.path.join(tmp, CONF_NAME), "wb") as fh:
+            fh.write(conf)
+        paths = [os.path.join(tmp, name) for name in ("a.txt", "b.txt", "out")]
+        for path in paths[:2]:
+            with open(path, "wb") as fh:
+                fh.write(document)
+        process_file(paths[0], STYLES["default"])
+        process_file(paths[1], STYLES["default"], out_path=paths[2])
+        written = []
+        for path in (paths[0], paths[2]):
+            with open(path, "rb") as fh:
+                written.append(fh.read())
+        return tuple(written)
+
+
+@settings(deadline=None)
+@example(('$h = """\nline one\nline two\n""";\n', ["h"]))
+@given(_conf_sources())
+def test_a_crlf_conf_gives_the_bytes_of_its_lf_twin(case):
+    source, names = case
+    echo = ", ".join(f"${name}" for name in names)
+    document = f"top\n<? read_starfish_conf(); echo {echo}; !>\nend\n"
+    for newline in (b"\n", b"\r\n"):
+        doc = document.encode().replace(b"\n", newline)
+        lf = _update_and_replace(source.encode(), doc)
+        assert _update_and_replace(source.encode().replace(b"\n", b"\r\n"),
+                                   doc) == lf
+        if newline == b"\r\n":
+            for data in lf:
+                assert data.count(b"\n") == data.count(b"\r\n")
+                assert b"\r\r\n" not in data
+
+
+def test_a_crlf_conf_string_takes_the_files_line_ends(tmp_path):
+    (tmp_path / CONF_NAME).write_bytes(
+        b'$h = """\r\nline one\r\nline two\r\n""";\r\n')
+    f = tmp_path / "a.txt"
+    document = b"top\r\n<? read_starfish_conf(); echo $h; !>\r\nend\r\n"
+    f.write_bytes(document)
+    assert process_file(str(f), STYLES["default"]) is True
+    assert f.read_bytes() == (b"top\r\n<? read_starfish_conf(); echo $h; !>"
+                              b"#+\r\nline one\r\nline two\r\n#-\r\n\r\nend\r\n")
+    assert process_file(str(f), STYLES["default"]) is False
+    g = tmp_path / "b.txt"
+    g.write_bytes(document)
+    process_file(str(g), STYLES["default"], out_path=str(tmp_path / "out"))
+    assert (tmp_path / "out").read_bytes() == \
+        b"top\r\nline one\r\nline two\r\n\r\nend\r\n"
+
+
+def test_a_conf_with_mixed_newlines_runs_byte_for_byte(tmp_path):
+    (tmp_path / CONF_NAME).write_bytes(
+        b'$h = "a\r\nb\nc";\r\n$i = """\r\nd""";\n')
+    f = tmp_path / "a.txt"
+    f.write_bytes(b"<? read_starfish_conf(); echo $h, $i; !>\n")
+    process_file(str(f), STYLES["default"])
+    assert f.read_bytes() == \
+        b"<? read_starfish_conf(); echo $h, $i; !>#+\na\r\nb\nc\r\nd#-\n\n"
+
+
+def test_exec_refuses_a_conf_that_is_not_a_regular_file(tmp_path):
+    state = make_state(path=str(tmp_path / "f.txt"))
+    with pytest.raises(EngineError) as exc:
+        exec_conf_chain((str(tmp_path),), state)
+    assert exc.value.message == \
+        f"refusing to read '{tmp_path}': not a regular file"
+    assert exc.value.file is None
+    assert state.base_dir == str(tmp_path)

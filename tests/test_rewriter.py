@@ -7,7 +7,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from textforge import rewriter, scriptlet
+from textforge import core, rewriter, scriptlet
 from textforge.core import (
     EngineError,
     EvalError,
@@ -454,7 +454,7 @@ def test_process_update_reads_the_input_once(tmp_path, monkeypatch):
             reads.append(file)
         return open(file, mode, *args, **kwargs)
 
-    monkeypatch.setattr(rewriter, "open", counting_open, raising=False)
+    monkeypatch.setattr(core, "open", counting_open, raising=False)
     assert process_file(str(f), STYLES["default"]) is True
     assert len(reads) == 1
     reads.clear()

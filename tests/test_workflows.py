@@ -23,3 +23,15 @@ def test_every_workflow_loads_and_each_run_step_is_a_string():
             assert isinstance(job.get("timeout-minutes"), int), (path, job)
             for step in job["steps"]:
                 assert isinstance(step.get("run", ""), str), (path, step)
+
+
+def test_each_traced_benchmark_step_checks_the_pinned_counts():
+    with open(os.path.join(WORKFLOWS, "tests.yml")) as fh:
+        steps = yaml.safe_load(fh)["jobs"]["tier1"]["steps"]
+    runs = [step["run"] for step in steps if "--trace 1" in step.get("run", "")]
+    assert len(runs) == 2
+    for run in runs:
+        workload = run.split("--workload ")[1].split()[0]
+        assert run.rstrip().endswith(
+            "grep -F '\"correct\": true' | python3 scripts/check_counts.py "
+            + workload), run
