@@ -97,6 +97,10 @@ MUTANTS = {
         "scanner.py", "test_scanner.py",
         "elif replace:",
         "elif False:"),
+    "replace keeps the indent of a snippet that starts its line": (
+        "scanner.py", "test_scanner.py",
+        "stop -= len(indent)",
+        "stop -= 0"),
     "a target edited while the file is computed is written over": (
         "rewriter.py", "test_cli.py",
         "if _version(now) != _version(current_stat):",

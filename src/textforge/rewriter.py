@@ -1,11 +1,11 @@
 """Processing one file: `process_file` renders its segments, each as soon
 as it is evaluated, and writes the result.
 
-Update keeps every snippet in place and appends its output directly after
-the end delimiter, wrapped in output markers whose shared digit infix is
-chosen so neither marker collides with the output text. Replace drops the
-snippet markup (including the line's leading whitespace when the snippet
-starts its line) and keeps only the bare output.
+The scanner yields the source text each mode keeps; this module renders
+each snippet's output where the scan marks it. Update appends it directly
+after the end delimiter, wrapped in output markers whose shared digit infix
+is chosen so neither marker collides with the output text. Replace keeps
+only the bare output.
 """
 from __future__ import annotations
 
@@ -100,20 +100,18 @@ def indent_output(output: str, indent: str) -> str:
                      for line in output.split("\n"))
 
 
-def _run_snippet(parts: list[str], seg: Snippet, state: EngineState,
-                 replace: bool) -> None:
-    """Run one snippet and append it to `parts`, under the fence and indent
-    setting in effect before it ran (its own `set_out_delimiters()` cannot
-    re-fence it). An error's offset into the stripped code becomes one into
-    the scanned text, or the code's start if it has none; a conf's is kept.
+def _run_snippet(seg: Snippet, state: EngineState, replace: bool) -> str:
+    """Run one snippet and return its rendered output, under the fence and
+    indent setting in effect before it ran (its own `set_out_delimiters()`
+    cannot re-fence it). An error's offset into the stripped code becomes
+    one into the scanned text, or the code's start if it has none; a conf's
+    is kept.
 
-    Update mode keeps the snippet verbatim and appends a fresh output block
-    (nothing for empty output); the stale block it was scanned with is
-    dropped. Replace mode drops the markup and keeps the bare output. There,
-    a snippet that starts its line (after whitespace only) takes that
-    whitespace with it, and output followed by a newline-terminated end
-    marker in update mode keeps a terminating newline, so both modes agree
-    on line structure.
+    Update mode returns a fresh output block (nothing for empty output); the
+    stale block the snippet was scanned with is dropped. Replace mode returns
+    the bare output, with a terminating newline where update's end marker
+    ends in one, so both modes agree on line structure. The markup around it,
+    and in replace mode the indent a snippet takes with it, is the scanner's.
     """
     delims, style = state.out_delims, state.style
     code = strip_line_comments(seg.code, style.line_comment)
@@ -130,18 +128,14 @@ def _run_snippet(parts: list[str], seg: Snippet, state: EngineState,
         raise
     if style.indent_adjust and seg.indent:
         out = indent_output(out, seg.indent)
+    if not out:
+        return out
     if not replace:
-        parts.append(seg.raw)
-        if out:
-            infix = choose_infix(out, delims)
-            parts.append(delims.begin(infix) + out + delims.end(infix))
-        return
-    if (seg.starts_line and seg.indent
-            and parts and parts[-1].endswith(seg.indent)):
-        parts[-1] = parts[-1][:-len(seg.indent)]
-    if out and delims.e2.endswith("\n") and not out.endswith("\n"):
+        infix = choose_infix(out, delims)
+        return delims.begin(infix) + out + delims.end(infix)
+    if delims.e2.endswith("\n") and not out.endswith("\n"):
         out += "\n"
-    parts.append(out)
+    return out
 
 
 def process_file(path: str, style: Style, *, out_path: str | None = None,
@@ -184,13 +178,9 @@ def process_file(path: str, style: Style, *, out_path: str | None = None,
                 source = init_code
                 eval_program(parse_scriptlet(init_code), state)
             source = text
-            parts: list[str] = []
-            for seg in iter_segments(text, state, replace):
-                if type(seg) is str:
-                    parts.append(seg)
-                else:
-                    _run_snippet(parts, seg, state, replace)
-            new_text = "".join(parts)
+            new_text = "".join(
+                seg if type(seg) is str else _run_snippet(seg, state, replace)
+                for seg in iter_segments(text, state, replace))
             if crlf:
                 new_text = new_text.replace("\n", "\r\n")
         return write_if_changed(target, new_text, current, current_stat)

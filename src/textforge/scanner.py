@@ -1,13 +1,11 @@
-"""Segmentation of input text into segments, `str | Snippet`: passthrough
-text and regex-hook matches are `str`, a match as its text in update mode
-and as its hook's template with `$1`..`$9` filled in in replace mode.
+"""Segmentation of input text into segments, `str | Snippet`: a `str` is
+source text that survives in the mode, and a `Snippet` marks where a
+snippet's output goes; this module alone decides what each mode keeps.
 
 Scanning is incremental: `iter_segments` is a generator that re-reads the
 state's hook list before every search, so a snippet that registers new hooks
 affects everything after it. It remembers where each hook occurs next, so a
-scan searches the text about once per hook. Concatenating the raw text of
-every segment (including each snippet's consumed existing-output block)
-reproduces the input byte for byte in update mode.
+scan searches the text about once per hook.
 """
 from __future__ import annotations
 
@@ -26,15 +24,14 @@ from .core import (
 )
 
 
-# One begin/end-delimited scriptlet occurrence. raw spans begin through end
-# delimiter inclusive; code is the text between them, and code_offset where
-# that text starts in the scanned text. indent is the leading whitespace of
-# the source line holding the begin delimiter, and starts_line whether only
-# that whitespace precedes the delimiter (see `iter_segments`).
-# existing_output is the text of the output block that follows the snippet,
-# read with the output delimiters in effect when the scan reached it, or None.
-Snippet = namedtuple("Snippet", "raw code code_offset indent starts_line "
-                     "existing_output")
+# Where one begin/end-delimited scriptlet's output goes; its markup is in
+# the text around it, or gone in replace mode. code is the text between the
+# delimiters, and code_offset where that text starts in the scanned text.
+# indent is the leading whitespace of the source line holding the begin
+# delimiter (see `iter_segments`). existing_output is the text of the output
+# block that follows the snippet, read with the output delimiters in effect
+# when the scan reached it, or None.
+Snippet = namedtuple("Snippet", "code code_offset indent existing_output")
 
 Segment = str | Snippet
 
@@ -168,8 +165,13 @@ def _line(text: str, a: int, b: int, indent: str,
 
 def iter_segments(text: str, state: EngineState,
                   replace: bool = False) -> Iterator[Segment]:
-    """Yield segments left to right, honouring live hook mutations; a regex
-    match is its template, filled from its captures, when `replace`.
+    """Yield segments left to right, honouring live hook mutations.
+
+    Update keeps all but the consumed output blocks, a snippet's markup in
+    the `str` before it, so the `str`s and those blocks give back the input.
+    Replace keeps the passthrough and each regex match's template, filled
+    from its captures; a snippet that starts its line takes its indent with
+    it when the passthrough right before it ends with it.
 
     Callers that evaluate snippets between pulls see hook/out_delims changes
     applied from the resume point onward, and read the fence a snippet was
@@ -182,8 +184,7 @@ def iter_segments(text: str, state: EngineState,
     forward piece by piece so no line is read twice. Update only rewrites
     blocks, so it cannot change them, and a rerun indents output the same.
     """
-    pos = 0
-    n = len(text)
+    pos = kept = 0  # where the scan is; where the text not yet yielded starts
     indent, blank = "", True  # the source line so far, as `_line` keeps it
     hooks = state.hooks
     found: dict = {}  # id(hook) -> its next occurrence, for find_next_match
@@ -197,30 +198,34 @@ def iter_segments(text: str, state: EngineState,
             exc.at = pos
             raise
         if match is None:
-            if pos < n:
-                yield text[pos:]
+            if kept < len(text):
+                yield text[kept:]
             return
         hook, start, end, captures = match
         if start > pos:
-            yield text[pos:start]
             indent, blank = _line(text, pos, start, indent, blank)
-        existing = None
         if isinstance(hook, BeginEnd):
             # On a blank line a delimiter's leading whitespace (" [[") adds
             # to the indent, and the snippet then does not start its line.
             run = text[start:_BLANKS.match(text, start).end()] if blank else ""
+            stop = end
+            if replace:
+                stop = start
+                if blank and not run and text.endswith(indent, pos, start):
+                    stop -= len(indent)
+            if stop > kept:
+                yield text[kept:stop]
             existing = detect_output_block(text, end, state.out_delims)
             code_offset = start + len(hook.begin)
-            yield Snippet(text[start:end],
-                          text[code_offset:end - len(hook.end)], code_offset,
-                          indent + run, blank and not run, existing)
+            yield Snippet(text[code_offset:end - len(hook.end)], code_offset,
+                          indent + run, existing)
+            kept = end if existing is None else end + len(existing)
         elif replace:
+            if start > kept:
+                yield text[kept:start]
             if hook.template not in templates:
                 templates[hook.template] = _CAPTURE_REF.split(hook.template)
             yield _substitute_template(templates[hook.template], captures)
-        else:
-            yield text[start:end]
+            kept = end
         indent, blank = _line(text, start, end, indent, blank)
-        pos = end
-        if existing is not None:
-            pos += len(existing)
+        pos = max(end, kept)  # past a consumed output block

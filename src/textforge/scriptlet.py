@@ -35,6 +35,7 @@ import time
 
 from .core import (
     BeginEnd,
+    EngineError,
     EngineState,
     EvalError,
     OutDelims,
@@ -458,8 +459,8 @@ def _variable(name: str, at: int):
 def _call(name: str, at: int, args: tuple):
     """A builtin call. Unknown names and bad arity fail only when run. The
     arguments are evaluated left to right before the builtin runs. An
-    EvalError it raises with no offset takes the call's, and an OSError
-    becomes an EvalError at the call that names the builtin."""
+    EngineError it raises with no offset or file takes the call's, and an
+    OSError becomes an EvalError at the call that names the builtin."""
     entry = BUILTINS.get(name)
     if entry is None:
         message = f"unknown function '{name}'"
@@ -472,7 +473,7 @@ def _call(name: str, at: int, args: tuple):
             x = a(run)
             try:
                 return fn(run.state, x)
-            except (EvalError, OSError) as exc:
+            except (EngineError, OSError) as exc:
                 raise _blame(exc, name, at)
         return call
     elif len(args) == 2:
@@ -482,7 +483,7 @@ def _call(name: str, at: int, args: tuple):
             x, y = a(run), b(run)
             try:
                 return fn(run.state, x, y)
-            except (EvalError, OSError) as exc:
+            except (EngineError, OSError) as exc:
                 raise _blame(exc, name, at)
         return call
     else:
@@ -492,7 +493,7 @@ def _call(name: str, at: int, args: tuple):
             values = [arg(run) for arg in args]
             try:
                 return fn(run.state, *values)
-            except (EvalError, OSError) as exc:
+            except (EngineError, OSError) as exc:
                 raise _blame(exc, name, at)
         return call
 
@@ -501,10 +502,10 @@ def _call(name: str, at: int, args: tuple):
     return bad_call
 
 
-def _blame(exc: EvalError | OSError, name: str, at: int) -> EvalError:
+def _blame(exc: EngineError | OSError, name: str, at: int) -> EngineError:
     if isinstance(exc, OSError):  # an unreadable directory or conf, say
         return EvalError(f"{name}(): {exc}", at=at)
-    if exc.at is None:  # a builtin's error is the call's
+    if exc.at is None and exc.file is None:  # a builtin's error is the call's
         exc.at = at
     return exc
 

@@ -1,6 +1,5 @@
 """Tiny shared helpers for the test modules."""
 from textforge.core import EngineState
-from textforge.scanner import Snippet
 from textforge.styles import STYLES
 
 
@@ -11,12 +10,5 @@ def make_state(path="doc.txt", style="default"):
 def concat_segments(segments):
     """Reassemble the raw bytes covered by an update-mode scan (losslessness
     check)."""
-    parts = []
-    for seg in segments:
-        if isinstance(seg, Snippet):
-            parts.append(seg.raw)
-            if seg.existing_output is not None:
-                parts.append(seg.existing_output)
-        else:
-            parts.append(seg)
-    return "".join(parts)
+    return "".join(seg if type(seg) is str else seg.existing_output or ""
+                   for seg in segments)

@@ -373,11 +373,11 @@ def test_main_reports_a_relative_file_without_a_working_directory(
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
-def test_main_refuses_a_conf_swapped_for_a_fifo_at_the_snippet(
+def test_main_refuses_a_conf_swapped_for_a_fifo_at_the_call(
         tmp_path, monkeypatch, capsys):
     # The walk passes only regular files, so the conf is swapped for a FIFO
-    # between the walk and the read. The refusal has no offset, so it is
-    # placed where the code of the snippet that read the conf starts.
+    # between the walk and the read. The refusal has no place of its own,
+    # so it is placed at the read_starfish_conf() call, as an OS error is.
     conf = tmp_path / "starfish.conf"
     os.mkfifo(conf)
     monkeypatch.setattr(config, "find_conf_chain", lambda start: (str(conf),))
@@ -385,7 +385,7 @@ def test_main_refuses_a_conf_swapped_for_a_fifo_at_the_snippet(
     f.write_text("a\n  <? read_starfish_conf(); !>\n")
     assert main([str(f)]) == 1
     assert capsys.readouterr().err == (
-        f"{f}:2:5: refusing to read '{conf}': not a regular file\n")
+        f"{f}:2:6: refusing to read '{conf}': not a regular file\n")
     assert f.read_text() == "a\n  <? read_starfish_conf(); !>\n"
 
 

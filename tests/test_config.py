@@ -147,6 +147,15 @@ def test_load_uses_the_processed_files_directory(tmp_path):
     assert state.scope["here"] == "posts"
 
 
+def test_load_keeps_a_conf_error_where_the_conf_placed_it(tmp_path):
+    # Only an error with no place of its own takes the call's.
+    conf = _conf(tmp_path, "$a = 1;\n$b = ;\n")
+    state = make_state(path=str(tmp_path / "f.txt"))
+    with pytest.raises(ParseError) as exc:
+        eval_program(parse_scriptlet("  read_starfish_conf();"), state)
+    assert (exc.value.file, exc.value.line, exc.value.col) == (conf, 2, 6)
+
+
 # --- a conf is read as FILE is ----------------------------------------------
 
 # Runs of text for a conf string's lines; a string's closing quote is never

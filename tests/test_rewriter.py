@@ -226,6 +226,14 @@ def test_replace_whole_line_snippet_takes_its_whitespace(tmp_path):
                   replace=True, style="java") == "    x();\n\nrest"
 
 
+def test_replace_never_cuts_a_template_before_a_line_starting_snippet(
+        tmp_path):
+    # The regex match takes the newline and the indent; the snippet still
+    # starts its line, but its indent is in the template, which keeps it.
+    text = '<? add_regex_hook("X\\n *", "T  "); !>\nX\n  <? echo "out"; !>\nend\n'
+    assert render(tmp_path, text, replace=True) == "\nT  out\n\nend\n"
+
+
 def test_replace_mid_line_snippet_keeps_prefix(tmp_path):
     assert render(tmp_path, "a <? echo 'X'; !> b", replace=True) == "a X\n b"
 
@@ -623,6 +631,7 @@ _SNIPPET_CODE = st.sampled_from([
     'echo "[+\\n";',
     "echo '@ab@';",
     "add_regex_hook('@([ab]+)@', '<$1>');",
+    "add_regex_hook('b(\\n *)', 'B$1');",  # takes a line-starting indent
     "add_hook('[[', ']]');",
     "set_out_delimiters('[', '+', ']', '-');",
     "set_out_delimiters('#', '+\\n', '#', '-\\n');",

@@ -218,14 +218,13 @@ def test_scan_plain_text_is_one_outer():
 
 
 def test_scan_basic_segments():
-    state = make_state(style="java")
-    segs = list(iter_segments("a//<? echo 1; !>b", state))
-    assert segs[0] == "a"
-    assert isinstance(segs[1], Snippet)
-    assert segs[1].raw == "//<? echo 1; !>"
-    assert segs[1].code == " echo 1; "
-    assert segs[1].code_offset == 5
-    assert segs[2] == "b"
+    # Update keeps the markup in the text before the snippet; replace drops it.
+    snip = Snippet(" echo 1; ", 5, "", None)
+    segs = list(iter_segments("a//<? echo 1; !>b", make_state(style="java")))
+    assert segs == ["a//<? echo 1; !>", snip, "b"]
+    segs = list(iter_segments("a//<? echo 1; !>b", make_state(style="java"),
+                              replace=True))
+    assert segs == ["a", snip, "b"]
 
 
 def test_scan_consumes_adjacent_output_block():
@@ -256,24 +255,23 @@ def test_scan_block_must_touch_end_delimiter():
 
 
 def test_scan_records_indent_and_whether_snippet_starts_line():
-    state = make_state()
-    snip = list(iter_segments("  x <? c !>", state))[1]
-    assert snip.indent == "  "
-    assert snip.starts_line is False
-    state = make_state()
-    snip = list(iter_segments("    <? c !>", state))[1]
-    assert snip.indent == "    "
-    assert snip.starts_line is True
+    # Only a snippet that starts its line takes its indent with it in replace.
+    segs = list(iter_segments("  x <? c !>", make_state(), replace=True))
+    assert segs == ["  x ", Snippet(" c ", 6, "  ", None)]
+    segs = list(iter_segments("a\n    <? c !>", make_state(), replace=True))
+    assert segs == ["a\n", Snippet(" c ", 8, "    ", None)]
+    segs = list(iter_segments("    <? c !>", make_state(), replace=True))
+    assert segs == [Snippet(" c ", 6, "    ", None)]
 
 
 def test_scan_line_leaves_out_consumed_output_blocks():
     # The block's newline must not start a new line: update inserted it,
     # and the pristine "<? a !> <? b !>" gives b no indent.
     segs = list(iter_segments("<? a !>#+\nA#-\n <? b !>#+\nB\n#-\n\n  <? c !>",
-                              make_state(style="python")))
-    b, c = [s for s in segs if isinstance(s, Snippet)][1:]
-    assert (b.indent, b.starts_line) == ("", False)
-    assert (c.indent, c.starts_line) == ("  ", True)
+                              make_state(style="python"), replace=True))
+    assert segs == [Snippet(" a ", 2, "", "#+\nA#-\n"), " ",
+                    Snippet(" b ", 17, "", "#+\nB\n#-\n"), "\n",
+                    Snippet(" c ", 35, "  ", None)]
 
 
 def test_scan_detects_each_block_with_the_fence_in_effect():
@@ -282,29 +280,29 @@ def test_scan_detects_each_block_with_the_fence_in_effect():
     state = make_state()
     gen = iter_segments("<? a !>#+\nA#-\n<? b !>@+\nB@-\n<? c !>#+\nC#-\n",
                         state)
-    first = next(gen)
-    assert first.existing_output == "#+\nA#-\n"
+    assert next(gen) == "<? a !>"
+    assert next(gen).existing_output == "#+\nA#-\n"
     state.out_delims = OutDelims("@", "+\n", "@", "-\n")
-    second, third, rest = next(gen), next(gen), list(gen)
-    assert second.existing_output == "@+\nB@-\n"
-    assert third.existing_output is None
-    assert rest == ["#+\nC#-\n"]
+    rest = list(gen)
+    assert rest[::2] == ["<? b !>", "<? c !>", "#+\nC#-\n"]
+    assert [seg.existing_output for seg in rest[1::2]] == ["@+\nB@-\n", None]
 
 
 def test_scan_picks_up_hooks_added_mid_file():
     state = make_state()
-    gen = iter_segments("<? a !> ZZ tail", state)
+    gen = iter_segments("<? a !> ZZ tail", state, replace=True)
     assert isinstance(next(gen), Snippet)
-    state.hooks.append(Pattern(re.compile("ZZ"), ""))
-    assert list(gen) == [" ", "ZZ", " tail"]
+    state.hooks.append(Pattern(re.compile("ZZ"), "zz"))
+    assert list(gen) == [" ", "zz", " tail"]
 
 
 def test_scan_pattern_segment():
-    for replace, match in ((False, "v42"), (True, "42")):
+    # Update leaves a match in the text around it.
+    for replace, segs in ((False, ["see v42 here"]),
+                          (True, ["see ", "42", " here"])):
         state = make_state()
         state.hooks.append(Pattern(re.compile(r"v(\d+)"), "$1"))
-        segs = list(iter_segments("see v42 here", state, replace))
-        assert segs == ["see ", match, " here"]
+        assert list(iter_segments("see v42 here", state, replace)) == segs
 
 
 @given(st.lists(st.sampled_from(["$0", "$1", "$2", "$9", "$10", "$$1", "$",
@@ -345,13 +343,13 @@ def test_scan_concat_reproduces_input(text):
 
 # --- linear scanning: each hook's next occurrence is remembered ------------
 
-def _run_snippets(text, state):
+def _run_snippets(text, state, replace=False):
     """Scan as process_file does, evaluating each snippet before the next
     segment is pulled. Returns the segments and the error that ended the
     scan (None if it ran to the end)."""
     segs = []
     try:
-        for seg in iter_segments(text, state):
+        for seg in iter_segments(text, state, replace):
             segs.append(seg)
             if isinstance(seg, Snippet):
                 eval_program(parse_scriptlet(seg.code), state)
@@ -391,9 +389,9 @@ def test_scan_zero_width_regex_tries_each_position_about_once(monkeypatch):
     monkeypatch.setattr(scriptlet, "re", types.SimpleNamespace(compile=CountingRegex))
     text = "<? add_regex_hook('q*', 'Q'); !>\n" + "".join(
         f"text{'q' if i % 50 == 0 else ''} <? $v = {i}; !>\n" for i in range(199))
-    segs, error = _run_snippets(text, make_state())
+    segs, error = _run_snippets(text, make_state(), replace=True)
     assert error is None
-    assert segs.count("q") == 4
+    assert segs.count("Q") == 4
     assert tries <= len(text) + 200
 
 
@@ -441,8 +439,8 @@ def test_scan_reuses_an_end_only_for_code_that_starts_before_it():
     state = make_state()
     state.hooks.append(BeginEnd("ab", "bc"))
     segs = list(iter_segments("<? ab !>ab bc<? ab !><? ab !>", state))
-    assert [seg.raw for seg in segs if isinstance(seg, Snippet)] == \
-        ["<? ab !>", "ab bc", "<? ab !>", "<? ab !>"]
+    assert segs[::2] == ["<? ab !>", "ab bc", "<? ab !>", "<? ab !>"]
+    assert [seg.code for seg in segs[1::2]] == [" ab ", " ", " ab ", " ab "]
 
 
 @pytest.mark.parametrize("tail", ["", "]]"])
@@ -454,7 +452,7 @@ def test_scan_of_begin_delimiters_far_from_an_end_is_linear(tail):
     started = time.perf_counter()
     segs = list(iter_segments(text, state))
     assert time.perf_counter() - started < 2
-    assert len(segs) == 20_000 + bool(tail)
+    assert len(segs) == 2 * 20_000 + bool(tail)  # markup, snippet; tail
 
 
 def test_scan_cost_does_not_grow_with_the_regex_of_a_hook():
@@ -464,7 +462,7 @@ def test_scan_cost_does_not_grow_with_the_regex_of_a_hook():
         state = make_state()
         state.hooks.append(Pattern(re.compile(pattern), ""))
         started = time.perf_counter()
-        segs = list(iter_segments("foo " * 10_000, state))
+        segs = list(iter_segments("foo " * 10_000, state, replace=True))
         assert len(segs) == 20_000
         return time.perf_counter() - started
 
@@ -500,17 +498,18 @@ def test_scan_of_many_snippets_on_one_line_is_linear():
     started = time.perf_counter()
     segs = list(iter_segments(text, make_state(style="python")))
     assert time.perf_counter() - started < 2
-    assert len(segs) == 40_000
+    assert len(segs) == 40_001  # markup and snippet each, then the last " "
     assert segs[-2].indent == "" and segs[-2].existing_output == "#+\nx#-\n"
 
 
 def test_scan_whitespace_led_delimiter_runs_on_into_the_indent():
     state = make_state(style="python")
     state.hooks.append(BeginEnd(" [[", "]]"))
-    segs = list(iter_segments("x\n   [[ c ]]\n  <? d !>", state))
-    c, d = [s for s in segs if isinstance(s, Snippet)]
-    assert (c.raw, c.indent, c.starts_line) == (" [[ c ]]", "   ", False)
-    assert (d.raw, d.indent, d.starts_line) == ("<? d !>", "  ", True)
+    segs = list(iter_segments("x\n   [[ c ]]\n  <? d !>", state, replace=True))
+    # c's own " " makes its indent "   ", but c does not start its line, so
+    # the two blanks before it stay; d takes its indent with it.
+    assert segs == ["x\n  ", Snippet(" c ", 7, "   ", None), "\n",
+                    Snippet(" d ", 17, "  ", None)]
 
 
 _LINE_PIECES = st.sampled_from([
@@ -524,24 +523,46 @@ _LINE_PIECES = st.sampled_from([
 @given(st.lists(_LINE_PIECES, max_size=16).map("".join), st.booleans())
 def test_scan_indent_and_starts_line_match_the_rebuilt_source_line(
         text, blank_regex):
-    state = make_state(style="python")
-    state.hooks.append(BeginEnd(" [[", "]]"))
-    if blank_regex:
-        state.hooks.append(Pattern(re.compile(" +"), "_"))
-    source, offset = [], 0  # the source read so far; where the scan is
-    for seg in iter_segments(text, state):
-        if isinstance(seg, Snippet):
-            line = "".join(source).rpartition("\n")[2]
-            body = line.lstrip(" \t")
-            if body:
-                indent, starts_line = line[:len(line) - len(body)], False
-            else:
-                run = re.match("[ \t]*", text[offset:]).group()
-                indent, starts_line = line + run, not run
-            assert (seg.indent, seg.starts_line) == (indent, starts_line)
-            source.append(seg.raw)
-            offset += len(seg.raw) + len(seg.existing_output or "")
-        else:
-            source.append(seg)
+    # The indent is checked in update mode, against the source line rebuilt
+    # from the text the scan keeps; whether a snippet starts its line, in
+    # replace mode, where such a snippet takes its indent with it.
+    def scan(replace):
+        state = make_state(style="python")
+        state.hooks.append(BeginEnd(" [[", "]]"))
+        if blank_regex:
+            state.hooks.append(Pattern(re.compile(" +"), "_"))
+        return list(iter_segments(text, state, replace))
+
+    def replaced(kept):  # each regex match as its template
+        return re.sub(" +", "_", kept) if blank_regex else kept
+
+    source, offset = "", 0  # the source kept so far; where the scan is
+    last = 0  # where the source after the last snippet starts
+    expected = ""  # the replace text so far
+    for seg in scan(False):
+        if type(seg) is str:
+            source += seg
             offset += len(seg)
+            continue
+        # "#<?" wins over the "<?" at its end: it starts first.
+        begin = next(b for b in ("#<?", " [[", "<?")
+                     if text.endswith(b, 0, seg.code_offset))
+        start = seg.code_offset - len(begin)
+        markup = len(source) - (offset - start)  # where it starts in source
+        line = source[:markup].rpartition("\n")[2]
+        body = line.lstrip(" \t")
+        if body:
+            indent, starts_line = line[:len(line) - len(body)], False
+        else:
+            run = re.match("[ \t]*", text[start:]).group()
+            indent, starts_line = line + run, not run
+        assert seg.indent == indent
+        # A blank the regex hook takes is in its template, which is never cut.
+        if starts_line and not (blank_regex and " " in indent):
+            markup -= len(indent)
+        expected += replaced(source[last:markup])
+        last = len(source)
+        offset += len(seg.existing_output or "")
     assert offset == len(text)
+    expected += replaced(source[last:])
+    assert "".join(seg for seg in scan(True) if type(seg) is str) == expected
