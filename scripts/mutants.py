@@ -32,6 +32,10 @@ MUTANTS = {
         "scriptlet.py", "test_oracle.py",
         "            for stmt in stmts:\n                stmt(run)\n",
         "            for stmt in stmts[:1]:\n                stmt(run)\n"),
+    "the assignment lookahead reads the far end of the token stack": (
+        "scriptlet.py", "test_oracle.py",
+        "after = self.rest[-1]",
+        "after = self.rest[0]"),
     "< and > become <= and >=": (
         "scriptlet.py", "test_oracle.py",
         "return a < b if less else a > b",

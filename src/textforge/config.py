@@ -7,6 +7,7 @@ run top-down as scriptlet programs against the file's scope, so deeper confs
 see (and may override) what their ancestors defined. A conf is read as FILE
 is, by `core.read_text`: regular files only, UTF-8 with undecodable bytes
 passed through, an all-CRLF conf run with LF and any other byte for byte.
+One leading byte-order mark is dropped from a conf before it runs.
 """
 from __future__ import annotations
 
@@ -48,7 +49,8 @@ def exec_conf_chain(chain: tuple[str, ...], state: EngineState) -> None:
     saved_base = state.base_dir
     try:
         for path in chain:
-            source = read_text(path)[0]
+            # An editor's UTF-8 byte-order mark is not scriptlet text.
+            source = read_text(path)[0].removeprefix("\ufeff")
             state.base_dir = os.path.dirname(path)
             try:
                 eval_program(parse_scriptlet(source), state)

@@ -20,11 +20,11 @@ triple-double-quoted (verbatim, multi-line; one newline directly after the
 opening quotes is dropped). ``#`` comments run to end of line. Reading an
 undefined variable is an error.
 
-The parser compiles each expression and statement into a closure that takes
-the state of one run (`_Run`), so evaluation walks no tree. What only a run
-can tell (unknown functions, bad arity, undefined variables, a ``for`` over a
-non-list, the budgets below) fails when the closure runs, so a bad call in a
-branch that never runs is harmless.
+The parser compiles each expression, statement and program into a closure
+that takes the state of one run (`_Run`), so evaluation walks no tree. What
+only a run can tell (unknown functions, bad arity, undefined variables, a
+``for`` over a non-list, the budgets below) fails when the closure runs, so a
+bad call in a branch that never runs is harmless.
 """
 from __future__ import annotations
 
@@ -57,9 +57,10 @@ _SQ_ESCAPES = {"'": "'", "\\": "\\"}
 
 
 def tokenize(source: str) -> list[tuple[str, str, int]]:
-    """Lex scriptlet source into `(kind, value, at)` tuples, where kind is
-    ident, var, int, str, op or eof and `at` is the offset of the token's
-    first character; raises ParseError on malformed input."""
+    """Lex scriptlet source into a new list of `(kind, value, at)` tuples,
+    where kind is ident, var, int, str, op or eof and `at` is the offset of
+    the token's first character; raises ParseError on malformed input. The
+    parser that `parse_scriptlet` hands the list to reverses it in place."""
     tokens: list[tuple[str, str, int]] = []
     append = tokens.append
     i = 0
@@ -184,81 +185,85 @@ class _Run:
 
 
 class _Parser:
-    """Compiles tokens to closures by recursive descent. `t` is the current
-    token, `tokens[pos]`; stepping stops at the final eof token."""
+    """Compiles tokenize's list to closures by recursive descent. `t` is the
+    current token and `rest` the tokens after it, last first, so a step is
+    `self.t = self.rest.pop()`; stepping stops at the final eof token."""
 
-    __slots__ = ("tokens", "pos", "t", "depth")
+    __slots__ = ("rest", "t", "depth")
 
     def __init__(self, tokens: list[tuple[str, str, int]]):
-        self.tokens = tokens
-        self.pos = 0
-        self.t = tokens[0]
+        tokens.reverse()  # the caller's list becomes the stack
+        self.rest = tokens
+        self.t = tokens.pop()
         self.depth = 0
 
     def expect_op(self, op: str) -> None:
         kind, value, at = self.t
         if value != op or kind != "op":
             raise ParseError(f"expected '{op}', got {value or kind!r}", at=at)
-        self.pos += 1
-        self.t = self.tokens[self.pos]
+        self.t = self.rest.pop()
 
     # statements
 
-    def program(self) -> tuple:
+    def statements(self, kind: str, value: str):
+        """Compiles statements up to the token `(kind, value)`, a block's
+        `}` or the program's eof, into one closure that runs them in order."""
         stmts = []
-        while self.t[0] != "eof":
+        while self.t[1] != value or self.t[0] != kind:
+            if self.t[0] == "eof":
+                raise ParseError("unterminated block: missing '}'", at=self.t[2])
             stmts.append(self.statement())
-        return tuple(stmts)
+        if len(stmts) == 1:
+            return stmts[0]
+        stmts = tuple(stmts)
+
+        def block(run):
+            for stmt in stmts:
+                stmt(run)
+        return block
 
     def statement(self):
         kind, value, at = self.t
         if kind == "var":
-            after = self.tokens[self.pos + 1]  # exists: t is not eof
+            after = self.rest[-1]  # exists: t is not eof
             if after[1] == "=" and after[0] == "op":
-                self.pos += 2
-                self.t = self.tokens[self.pos]
+                self.rest.pop()
+                self.t = self.rest.pop()
                 expr = self.expression()
                 self.expect_op(";")
                 return _assign(value, expr)
         elif kind == "ident" and value == "echo":
-            self.pos += 1
-            self.t = self.tokens[self.pos]
+            self.t = self.rest.pop()
             args = [self.expression()]
             while self.t[1] == "," and self.t[0] == "op":
-                self.pos += 1
-                self.t = self.tokens[self.pos]
+                self.t = self.rest.pop()
                 args.append(self.expression())
             self.expect_op(";")
             return _echo(args, at)
         elif kind == "ident" and value == "if":
-            self.pos += 1
-            self.t = self.tokens[self.pos]
+            self.t = self.rest.pop()
             self.expect_op("(")
             cond = self.expression()
             self.expect_op(")")
             then = self.block()
             other = _nothing
             if self.t[1] == "else" and self.t[0] == "ident":
-                self.pos += 1
-                self.t = self.tokens[self.pos]
+                self.t = self.rest.pop()
                 other = self.block()
 
             def if_(run):
                 (then if truthy(cond(run)) else other)(run)
             return if_
         elif kind == "ident" and value == "for":
-            self.pos += 1
-            var_kind, name, var_at = self.t = self.tokens[self.pos]
+            var_kind, name, var_at = self.t = self.rest.pop()
             if var_kind != "var":
                 raise ParseError("expected a loop variable after 'for'", at=var_at)
             if name == "O":  # it could never be read: $O reads the output
                 raise ParseError("$O cannot be a loop variable", at=var_at)
-            self.pos += 1
-            self.t = self.tokens[self.pos]
+            self.t = self.rest.pop()
             if self.t[1] != "in" or self.t[0] != "ident":
                 raise ParseError("expected 'in' in for statement", at=self.t[2])
-            self.pos += 1
-            self.t = self.tokens[self.pos]
+            self.t = self.rest.pop()
             items = self.expression()
             return _loop(at, name, var_at, items, self.block())
         expr = self.expression()
@@ -269,22 +274,10 @@ class _Parser:
         # Its `if`/`for` expression has checked the depth; inner ones count it.
         self.depth += 1
         self.expect_op("{")
-        stmts = []
-        while self.t[1] != "}" or self.t[0] != "op":
-            if self.t[0] == "eof":
-                raise ParseError("unterminated block: missing '}'", at=self.t[2])
-            stmts.append(self.statement())
-        self.pos += 1
-        self.t = self.tokens[self.pos]
+        body = self.statements("op", "}")
+        self.t = self.rest.pop()
         self.depth -= 1
-        if len(stmts) == 1:
-            return stmts[0]
-        stmts = tuple(stmts)
-
-        def block(run):
-            for stmt in stmts:
-                stmt(run)
-        return block
+        return body
 
     # expressions
 
@@ -299,13 +292,11 @@ class _Parser:
         kind, op, _ = self.t
         if kind == "op":
             if op in _COMPARISONS:
-                self.pos += 1
-                self.t = self.tokens[self.pos]
+                self.t = self.rest.pop()
                 cond = _compare(op, cond, self.concat())
                 kind, op, _ = self.t
             if op == "?" and kind == "op":
-                self.pos += 1
-                self.t = self.tokens[self.pos]
+                self.t = self.rest.pop()
                 then = self.expression()
                 self.expect_op(":")
                 other = self.expression()
@@ -321,8 +312,7 @@ class _Parser:
             return first
         parts = [first]
         while self.t[1] == "." and self.t[0] == "op":
-            self.pos += 1
-            self.t = self.tokens[self.pos]
+            self.t = self.rest.pop()
             parts.append(self.primary())
         parts = tuple(parts)
 
@@ -338,8 +328,7 @@ class _Parser:
         kind, value, at = self.t
         if kind == "eof":
             raise ParseError("expected an expression, got 'eof'", at=at)
-        self.pos += 1
-        self.t = self.tokens[self.pos]
+        self.t = self.rest.pop()
         if kind == "str":
             return _literal(value)
         if kind == "var":
@@ -352,8 +341,7 @@ class _Parser:
             if self.t[1] != ")" or self.t[0] != "op":
                 args.append(self.expression())
                 while self.t[1] == "," and self.t[0] == "op":
-                    self.pos += 1
-                    self.t = self.tokens[self.pos]
+                    self.t = self.rest.pop()
                     args.append(self.expression())
             self.expect_op(")")
             return _call(value, at, tuple(args))
@@ -510,10 +498,10 @@ def _blame(exc: EngineError | OSError, name: str, at: int) -> EngineError:
     return exc
 
 
-def parse_scriptlet(source: str) -> tuple:
-    """Parse a whole scriptlet program into a tuple of its statements, each
-    compiled to a closure that takes a `_Run`."""
-    return _Parser(tokenize(source)).program()
+def parse_scriptlet(source: str):
+    """Parse a whole scriptlet program into one closure that takes a `_Run`
+    and runs the program's statements in order."""
+    return _Parser(tokenize(source)).statements("eof", "")
 
 
 # --- evaluation --------------------------------------------------------
@@ -539,12 +527,12 @@ def truthy(value: Value) -> bool:
     return len(value) > 0
 
 
-def eval_program(program: tuple, state: EngineState) -> str:
-    """Run a program from `parse_scriptlet` against `state`, in its scope;
-    returns the program's output, `$O`, which starts empty on every call."""
+def eval_program(program, state: EngineState) -> str:
+    """Run the closure `parse_scriptlet` returned against `state`, in its
+    scope; returns the program's output, `$O`, which starts empty on every
+    call."""
     run = _Run(state)
-    for stmt in program:
-        stmt(run)
+    program(run)
     return "".join(run.out)
 
 

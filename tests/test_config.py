@@ -15,6 +15,8 @@ from textforge.rewriter import process_file
 from textforge.scriptlet import eval_program, parse_scriptlet
 from textforge.styles import STYLES
 
+BOM = "\ufeff".encode()
+
 
 def _conf(directory, source):
     directory.mkdir(parents=True, exist_ok=True)
@@ -118,6 +120,15 @@ def test_exec_errors_in_a_crlf_conf_are_placed_as_in_its_lf_twin(tmp_path):
     assert (exc.value.file, exc.value.line, exc.value.col) == (str(bad), 2, 8)
 
 
+def test_exec_errors_in_a_conf_with_a_bom_are_placed_as_an_editor_shows(
+        tmp_path):
+    bad = tmp_path / CONF_NAME
+    bad.write_bytes(BOM + b"$x = ;")
+    with pytest.raises(ParseError) as exc:
+        exec_conf_chain((str(bad),), make_state(path=str(tmp_path / "f.txt")))
+    assert (exc.value.file, exc.value.line, exc.value.col) == (str(bad), 1, 6)
+
+
 def test_exec_empty_chain_changes_nothing(tmp_path):
     state = make_state(path=str(tmp_path / "f.txt"))
     exec_conf_chain(find_conf_chain(str(tmp_path)), state)
@@ -203,17 +214,21 @@ def _update_and_replace(conf: bytes, document: bytes) -> tuple[bytes, bytes]:
 
 
 @settings(deadline=None)
-@example(('$h = """\nline one\nline two\n""";\n', ["h"]))
-@given(_conf_sources())
-def test_a_crlf_conf_gives_the_bytes_of_its_lf_twin(case):
+@example(('$h = """\nline one\nline two\n""";\n', ["h"]), b"")
+@example(('$h = """\nline one\nline two\n""";\n', ["h"]), BOM)
+@given(_conf_sources(), st.sampled_from([b"", BOM]))
+def test_a_crlf_conf_gives_the_bytes_of_its_lf_twin(case, bom):
+    """Also when the CRLF conf starts with a byte-order mark, which the conf
+    drops and FILE, starting with one too, keeps."""
     source, names = case
     echo = ", ".join(f"${name}" for name in names)
     document = f"top\n<? read_starfish_conf(); echo {echo}; !>\nend\n"
     for newline in (b"\n", b"\r\n"):
-        doc = document.encode().replace(b"\n", newline)
+        doc = bom + document.encode().replace(b"\n", newline)
         lf = _update_and_replace(source.encode(), doc)
-        assert _update_and_replace(source.encode().replace(b"\n", b"\r\n"),
-                                   doc) == lf
+        assert all(data.startswith(bom + b"top") for data in lf)
+        crlf = bom + source.encode().replace(b"\n", b"\r\n")
+        assert _update_and_replace(crlf, doc) == lf
         if newline == b"\r\n":
             for data in lf:
                 assert data.count(b"\n") == data.count(b"\r\n")

@@ -2,8 +2,9 @@
 
 Drawn programs run through both implementations with the same budgets, and
 must leave the same `$O`, scope and output delimiters, or fail with the same
-error type, message and offset. `scripts/mutants.py` checks that these tests
-catch planted faults in the engine.
+error type, message and offset. Every prefix of a drawn program or of a
+goldens snippet must parse or raise ParseError. `scripts/mutants.py` checks
+that these tests catch planted faults in the engine.
 """
 import contextlib
 import os
@@ -11,11 +12,15 @@ import os
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import goldens
 import reference_scriptlet
 from helpers import make_state
 from textforge import scriptlet
 from textforge.core import EvalError, ParseError
+from textforge.rewriter import strip_line_comments
+from textforge.scanner import Snippet, iter_segments
 from textforge.scriptlet import eval_program, parse_scriptlet, tokenize
+from textforge.styles import STYLES
 
 # The directory glob() sees holds these files and the processed doc.txt.
 _FILES = ("a.txt", "ab.txt", "b", "ba.md")
@@ -205,6 +210,47 @@ def test_for_output_fails_as_the_reference_says(doc, before, after, nest,
     if nest:
         loop = "if (1) { %s }" % loop
     _check("\n".join([before, loop, after]), doc, budgets, scope)
+
+
+# --- truncated programs ----------------------------------------------------
+
+def _each_prefix_parses_or_is_a_parse_error(source):
+    for end in range(len(source) + 1):
+        try:
+            parse_scriptlet(source[:end])
+        except ParseError:
+            pass
+
+
+def _golden_codes():
+    """The blog's conf, and the code of every snippet in the goldens as its
+    style runs it, by name."""
+    codes = {"blog-conf": goldens.BLOG_CONF}
+    for text, style in ((goldens.JAVA_PRISTINE, "java"),
+                        (goldens.MAKEFILE_PRISTINE, "makefile"),
+                        (goldens.BLOG_PRISTINE, "html")):
+        segs = iter_segments(text, make_state(style=style))
+        snippets = [seg for seg in segs if isinstance(seg, Snippet)]
+        for k, seg in enumerate(snippets, 1):
+            codes[f"{style}-{k}"] = strip_line_comments(
+                seg.code, STYLES[style].line_comment)
+    return codes
+
+
+# A fault that steps past the final eof token would end in a traceback.
+@settings(max_examples=200, deadline=None)
+@given(source=_PROGRAMS)
+def test_every_prefix_of_a_program_parses_or_is_a_parse_error(source):
+    _each_prefix_parses_or_is_a_parse_error(source)
+
+
+_GOLDEN_CODES = _golden_codes()
+
+
+@pytest.mark.parametrize("code", list(_GOLDEN_CODES.values()),
+                         ids=list(_GOLDEN_CODES))
+def test_every_prefix_of_a_golden_snippet_parses_or_is_a_parse_error(code):
+    _each_prefix_parses_or_is_a_parse_error(code)
 
 
 _SOUP = st.sampled_from([
