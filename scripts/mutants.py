@@ -73,13 +73,17 @@ MUTANTS = {
         "    if style.indent_adjust and seg.indent:\n",
         "    delims, style = state.out_delims, state.style\n"
         "    if style.indent_adjust and seg.indent:\n"),
+    "a never-terminated begin ends at the end of the text": (
+        "scanner.py", "test_scanner.py",
+        "else _NEVER), ()",
+        "else len(text)), ()"),
     "find_next_match keeps the later hook on a full tie": (
         "scanner.py", "test_scanner.py",
         "end < best[2]",
         "end <= best[2]"),
     "the regular-file refusal is skipped": (
         "core.py", "test_cli.py",
-        "if stat.S_ISREG(os.fstat(fd).st_mode):",
+        "if stat.S_ISREG(st.st_mode):",
         "if True:"),
     "the scan keeps its cache when set_style() drops the hooks": (
         "scanner.py", "test_scanner.py",

@@ -59,20 +59,13 @@ class EngineError(Exception):
 
 
 class ParseError(EngineError):
-    """Scriptlet source that does not lex or parse."""
+    """Scriptlet source that does not lex or parse, or snippet or output
+    markup whose end is missing."""
 
 
 class EvalError(EngineError):
     """Scriptlet runtime failure: undefined variable, unknown function, bad
     arity, a budget run out, or the file's deadline passed."""
-
-
-class UnterminatedSnippetError(EngineError):
-    """A begin delimiter matched but no end delimiter follows."""
-
-
-class UnterminatedOutputError(EngineError):
-    """An output-block begin marker matched but its end marker is missing."""
 
 
 class UsageError(EngineError):
@@ -155,17 +148,23 @@ def line_col(text: str, offset: int) -> tuple[int, int]:
 
 
 def read_regular(path: str) -> tuple[bytes, os.stat_result]:
-    """`path`'s bytes and stat result. Anything but a regular file is refused
-    unread; the open does not block, so a FIFO cannot hang the run."""
+    """`path`'s bytes and its stat result as it was opened, before any byte
+    was read, so an edit made during the read shows as a change. Anything
+    but a regular file is refused unread; the open does not block, so a FIFO
+    cannot hang the run."""
+    st = None
+
     def opener(name: str, flags: int) -> int:
+        nonlocal st
         fd = os.open(name, flags | getattr(os, "O_NONBLOCK", 0))
-        if stat.S_ISREG(os.fstat(fd).st_mode):
+        st = os.fstat(fd)
+        if stat.S_ISREG(st.st_mode):
             return fd
         os.close(fd)
         raise EngineError(f"refusing to read '{path}': not a regular file")
 
     with open(path, "rb", opener=opener) as fh:
-        return fh.read(), os.fstat(fh.fileno())
+        return fh.read(), st
 
 
 def read_text(path: str) -> tuple[str, bool, bytes, os.stat_result]:

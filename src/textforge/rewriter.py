@@ -232,19 +232,20 @@ def _version(info: os.stat_result | None) -> tuple | None:
 def write_if_changed(path: str, text: str, current: bytes | None,
                      current_stat: os.stat_result | None) -> bool:
     """Write `text` to `path` atomically, but only when its bytes differ
-    from `current`, the target's bytes as the caller read them, whose stat
-    result is `current_stat` (both None for a target that was missing).
+    from `current`, the target's bytes as the caller read them, and
+    `current_stat` its stat result from when it was opened for that read
+    (both None for a target that was missing).
 
     Identical content means no write at all, so timestamps survive untouched.
     Updates go through a temp file in the same directory followed by a
     rename; an existing file keeps its permission bits. A symlink is written
     through: the file it resolves to is replaced and the link stays. A
     target with more than one hard link is refused with an EngineError when
-    its bytes would change, and so is a target that changed after it was
-    read: just before the rename, its inode, size, mtime or ctime differ
-    from `current_stat`, or it has appeared or gone. Then the temp file is
-    removed and nothing is written. A failed write raises an OSError
-    naming `path`.
+    its bytes would change, and so is a target that changed since it was
+    opened for the read, during the read too: just before the rename, its
+    inode, size, mtime or ctime differ from `current_stat`, or it has
+    appeared or gone. Then the temp file is removed and nothing is written.
+    A failed write raises an OSError naming `path`.
     """
     data = text.encode("utf-8", "surrogateescape")
     if current == data:

@@ -19,8 +19,7 @@ from .core import (
     EvalError,
     Hook,
     OutDelims,
-    UnterminatedOutputError,
-    UnterminatedSnippetError,
+    ParseError,
 )
 
 
@@ -37,26 +36,29 @@ Segment = str | Snippet
 
 _BLANKS = re.compile("[ \t]*")
 _CAPTURE_REF = re.compile(r"\$([1-9])")
+_NEVER = float("inf")  # the offset of what never occurs
+_ABSENT = (_NEVER, _NEVER, ())  # _search's answer when there is no match
+_NOTHING = (None, _NEVER, _NEVER, ())  # find_next_match's start: no match
 _UNSEARCHED = (-1, -1, ())  # find_next_match's entry for a hook not searched
 
 
 def _search(text: str, hook: Hook, from_: int, last: tuple = _UNSEARCHED):
     """(start, end, captures) of the first match of `hook` at or after
-    `from_`, with end None for a begin delimiter that is never terminated;
-    None if there is none. It depends on (text, hook) only, so it stays the
-    answer for every later `from_` up to its start. `last` is the hook's
-    previous answer, if any; it starts before `from_`."""
+    `from_`, with end `_NEVER` for a begin delimiter that is never
+    terminated; `_ABSENT` if there is none. It depends on (text, hook) only,
+    so it stays the answer for every later `from_` up to its start. `last`
+    is the hook's previous answer, if any; it starts before `from_`."""
     if isinstance(hook, BeginEnd):
         b = text.find(hook.begin, from_)
         if b < 0:
-            return None
+            return _ABSENT
         code = b + len(hook.begin)
         # The last begin's end is the first end after its code, or there is
         # none; so it is this begin's too when this code starts no later.
-        if last[1] is None or code <= last[1] - len(hook.end):
+        if code <= last[1] - len(hook.end):
             return b, last[1], ()
         e = text.find(hook.end, code)
-        return b, (e + len(hook.end) if e >= 0 else None), ()
+        return b, (e + len(hook.end) if e >= 0 else _NEVER), ()
     # Zero-width matches are skipped: they carry no text to rewrite and
     # would stall the scan. (re.search clamps pos to len(text) and keeps
     # reporting the final empty match, hence the bound.)
@@ -66,12 +68,12 @@ def _search(text: str, hook: Hook, from_: int, last: tuple = _UNSEARCHED):
     while at <= n:
         m = search(text, at)
         if m is None:
-            return None
+            return _ABSENT
         start, end = m.span()
         if end > start:
             return start, end, m.groups("")[:9]
         at = start + 1
-    return None
+    return _ABSENT
 
 
 def find_next_match(text: str, from_: int, hooks: list[Hook],
@@ -80,37 +82,27 @@ def find_next_match(text: str, from_: int, hooks: list[Hook],
     (hook, start, end, captures) with `end` exclusive, or None.
 
     Ties are broken by smallest start, then smallest match length, then
-    earliest hook in `hooks`. A begin delimiter with no end delimiter anywhere
-    after it is a hard error once no complete match starts before it.
+    earliest hook in `hooks`. A begin delimiter with no end delimiter after
+    it is a match that never ends: a ParseError when it comes first.
     `cache` keeps each hook's `_search` result, keyed by the hook's id,
     between calls over one text with non-decreasing `from_` and hooks that
     stay alive; a hook is searched again once it is passed.
     """
-    best = None
-    dangling: int | None = None  # earliest unterminated begin
-
+    best = _NOTHING
     for hook in hooks:
         found = cache.get(id(hook), _UNSEARCHED)
-        if found is None:  # absent from the rest of the text
-            continue
         if found[0] < from_:
             found = cache[id(hook)] = _search(text, hook, from_, found)
-            if found is None:
-                continue
         start, end, captures = found
-        if end is None:
-            if dangling is None or start < dangling:
-                dangling = start
-            continue
         # With the same start, the shorter match ends first; on a full tie
         # the earlier hook stays.
-        if best is None or start < best[1] or (start == best[1] and end < best[2]):
+        if start < best[1] or (start == best[1] and end < best[2]):
             best = (hook, start, end, captures)
-
-    if dangling is not None and (best is None or dangling < best[1]):
-        raise UnterminatedSnippetError(
-            "snippet begin delimiter is never terminated", at=dangling)
-    return best
+    if best[2] != _NEVER:
+        return best
+    if best[1] == _NEVER:
+        return None
+    raise ParseError("snippet begin delimiter is never terminated", at=best[1])
 
 
 def _substitute_template(parts: list[str], captures: tuple[str, ...]) -> str:
@@ -144,7 +136,7 @@ def detect_output_block(text: str, at: int,
     end_marker = delims.end(infix)
     k = text.find(end_marker, j + len(delims.b2))
     if k < 0:
-        raise UnterminatedOutputError(
+        raise ParseError(
             "output block begin marker has no matching end marker", at=at)
     return text[at:k + len(end_marker)]
 

@@ -13,7 +13,7 @@ import pytest
 import goldens
 from helpers import concat_segments, make_state
 from textforge.cli import main
-from textforge.core import OutDelims, UnterminatedSnippetError
+from textforge.core import OutDelims, ParseError
 from textforge.rewriter import choose_infix, process_file, write_if_changed
 from textforge.scanner import detect_output_block, iter_segments
 from textforge.styles import STYLES
@@ -170,7 +170,7 @@ def test_criterion_08_segmentation_is_lossless(report):
                 try:
                     segs = list(iter_segments(text, state))
                     break
-                except UnterminatedSnippetError:
+                except ParseError:
                     text += "!>"  # close the dangling snippet and rescan
             else:
                 raise AssertionError(f"unterminable input: {text!r}")

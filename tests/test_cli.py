@@ -604,6 +604,36 @@ def test_main_keeps_an_edit_made_while_it_runs(tmp_path, monkeypatch, capsys,
     assert not [n for n in os.listdir(tmp_path) if n.startswith(".textforge-")]
 
 
+def test_main_keeps_an_edit_made_while_the_file_is_read(tmp_path, monkeypatch,
+                                                        capsys):
+    # The edit lands before read() returns, so only a stat taken before the
+    # read sees it.
+    monkeypatch.chdir(tmp_path)
+    source = "<? echo 'a'; !>\n"
+    (tmp_path / "t.txt").write_text(source)
+
+    def open_and_edit(file, *args, **kwargs):
+        fh = open(file, *args, **kwargs)
+        read = fh.read
+
+        def read_then_edit(*read_args):
+            data = read(*read_args)
+            with open(file, "a") as other:
+                other.write("edit made during the read\n")
+            return data
+
+        fh.read = read_then_edit
+        return fh
+
+    monkeypatch.setattr(core, "open", open_and_edit, raising=False)
+    assert main(["t.txt"]) == 1
+    assert capsys.readouterr().err == \
+        "t.txt:0:0: 't.txt' changed while textforge ran; not written\n"
+    assert (tmp_path / "t.txt").read_text() == \
+        source + "edit made during the read\n"
+    assert os.listdir(tmp_path) == ["t.txt"]
+
+
 def _no_alarm():
     """Whether no deadline is left behind: the timer is off and SIGALRM has
     its default handler."""

@@ -13,8 +13,6 @@ from textforge.core import (
     EvalError,
     OutDelims,
     ParseError,
-    UnterminatedOutputError,
-    UnterminatedSnippetError,
     line_col,
 )
 from textforge.rewriter import (
@@ -354,8 +352,8 @@ def test_process_error_position_after_comment_stripping(tmp_path):
 
 
 @pytest.mark.parametrize("text, init_code, error, at", [
-    ("x\n  <? broken", None, UnterminatedSnippetError, (2, 3)),
-    ("x\n<? echo 'a'; !>#+\nno end", None, UnterminatedOutputError, (2, 16)),
+    ("x\n  <? broken", None, ParseError, (2, 3)),
+    ("x\n<? echo 'a'; !>#+\nno end", None, ParseError, (2, 16)),
     ("x\n <? echo 'a';\n echo ; !>", None, ParseError, (3, 7)),
     ("plain", "$x = 1;\n  $y = $nope;", EvalError, (2, 8)),
 ])
@@ -431,7 +429,7 @@ def test_process_reports_the_file_position_of_a_snippet_error(case):
 def test_process_scan_error_leaves_file_untouched(tmp_path):
     f = tmp_path / "doc.txt"
     f.write_text("x <? broken")
-    with pytest.raises(UnterminatedSnippetError):
+    with pytest.raises(ParseError):
         process_file(str(f), STYLES["default"])
     assert f.read_text() == "x <? broken"
 
@@ -521,6 +519,17 @@ def test_process_keys_each_glob_on_its_directory(tmp_path):
     assert process_file(str(f), STYLES["default"]) is True
     assert f.read_text() == (f"{first}#+\ndoc.txt#-\n\n"
                              f"{second}#+\ntop.txt;doc.txt;doc.txt#-\n\n")
+
+
+def test_process_globs_every_directory_entry_as_listed(tmp_path):
+    # Unlike a shell: subdirectories are listed, and * matches a leading dot.
+    (tmp_path / ".hidden").write_text("")
+    (tmp_path / "a.txt").write_text("")
+    (tmp_path / "sub").mkdir()
+    f = tmp_path / "t.txt"
+    f.write_text("<? echo join(',', glob('*')), ';', glob('.*'); !>")
+    assert process_file(str(f), STYLES["default"]) is True
+    assert f.read_text().endswith("#+\n.hidden,a.txt,sub,t.txt;.hidden#-\n")
 
 
 # --- write_if_changed ------------------------------------------------------
