@@ -10,9 +10,11 @@ scriptlet oracle, a property that holds a fast path to its reference, or a
 test aimed at the boundary the fault moves. For each, src/ and tests/ are copied to
 a fresh temporary directory, the replacement is applied, and the mutant's
 test module runs against the copy. The unmutated copy runs every named test
-module first and must pass. Exits 0 when every mutant is caught, 1 when one
-survives, and 2 when the unmutated copy fails or a mutant's text is not
-found.
+module first and must pass. A test run that takes longer than
+`TIMEOUT_S` is stopped and counts as failed, so a mutant that loops forever
+is reported as caught (timed out). Exits 0 when every mutant is caught, 1
+when one survives, and 2 when the unmutated copy fails or times out or a
+mutant's text is not found.
 """
 from __future__ import annotations
 
@@ -24,6 +26,7 @@ import tempfile
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+TIMEOUT_S = 120  # for one pytest run
 
 # name -> (module in src/textforge, test module in tests, text in the
 # module, its replacement)
@@ -66,8 +69,8 @@ MUTANTS = {
         'len(seg.code.rsplit("\\n", after + 1)[0])'),
     "the end reuse ignores the end delimiter's length": (
         "scanner.py", "test_scanner.py",
-        "code <= last[1] - len(hook.end)",
-        "code <= last[1]"),
+        "code <= last_end - len(hook.end)",
+        "code <= last_end"),
     "_run_snippet reads the fence after the snippet runs": (
         "rewriter.py", "test_rewriter.py",
         "    if style.indent_adjust and seg.indent:\n",
@@ -79,15 +82,19 @@ MUTANTS = {
         "else len(text)), ()"),
     "find_next_match keeps the later hook on a full tie": (
         "scanner.py", "test_scanner.py",
-        "end < best[2]",
-        "end <= best[2]"),
+        "heappush(heap, (start, end, i, captures))",
+        "heappush(heap, (start, end, -i, captures))"),
+    "only the top entry is searched again": (
+        "scanner.py", "test_scanner.py",
+        "while heap[0][0] < from_:",
+        "if heap[0][0] < from_:"),
     "the regular-file refusal is skipped": (
         "core.py", "test_cli.py",
         "if stat.S_ISREG(st.st_mode):",
         "if True:"),
-    "the scan keeps its cache when set_style() drops the hooks": (
+    "the scan keeps its heap when set_style() drops the hooks": (
         "scanner.py", "test_scanner.py",
-        "hooks, found = state.hooks, {}",
+        "hooks, found = state.hooks, []",
         "hooks = state.hooks"),
     "the style lookup takes the suffix from the first dot": (
         "styles.py", "test_styles.py",
@@ -126,13 +133,18 @@ MUTANTS = {
         "rewriter.py", "test_cli.py",
         "if current_stat is not None and os.path.samestat(current_stat, st):",
         "if False:"),
+    "an interrupt during the write leaves the temp file": (
+        "rewriter.py", "test_faults.py",
+        "    except BaseException as exc:",
+        "    except Exception as exc:"),
 }
 
 
 def run_tests(tests: list[str], module: str | None = None,
-              old: str | None = None, new: str | None = None) -> bool:
-    """Whether the test modules `tests` pass on a copy with `old` replaced
-    by `new` in src/textforge/`module` (no replacement when `old` is None)."""
+              old: str | None = None, new: str | None = None) -> str:
+    """"passed", "failed" or "timed out": how the test modules `tests` run
+    on a copy with `old` replaced by `new` in src/textforge/`module` (no
+    replacement when `old` is None)."""
     with tempfile.TemporaryDirectory(prefix="textforge-mutant-") as tmp:
         for part in ("src", "tests"):
             shutil.copytree(os.path.join(ROOT, part), os.path.join(tmp, part),
@@ -148,27 +160,33 @@ def run_tests(tests: list[str], module: str | None = None,
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(text.replace(old, new))
         env = dict(os.environ, PYTHONPATH=os.path.join(tmp, "src"))
-        result = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-x", "-p",
-             "no:cacheprovider"] + [os.path.join("tests", t) for t in tests],
-            cwd=tmp, env=env, stdout=subprocess.DEVNULL,
-            stderr=subprocess.DEVNULL)
-        return result.returncode == 0
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "pytest", "-q", "-x", "-p",
+                 "no:cacheprovider"]
+                + [os.path.join("tests", t) for t in tests],
+                cwd=tmp, env=env, stdout=subprocess.DEVNULL,
+                stderr=subprocess.DEVNULL, timeout=TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            return "timed out"
+        return "passed" if result.returncode == 0 else "failed"
 
 
 def main() -> int:
     started = time.monotonic()
     tests = sorted({entry[1] for entry in MUTANTS.values()})
-    if not run_tests(tests):
-        print(f"mutants: {', '.join(tests)} fail on the unmutated source")
+    outcome = run_tests(tests)
+    if outcome != "passed":
+        print(f"mutants: {', '.join(tests)} {outcome} on the unmutated source")
         return 2
     survivors = []
     for name, (module, test, old, new) in MUTANTS.items():
         began = time.monotonic()
-        caught = not run_tests([test], module, old, new)
-        print(f"{'caught' if caught else 'SURVIVED'}: {name} "
-              f"({time.monotonic() - began:.1f} s)")
-        if not caught:
+        outcome = run_tests([test], module, old, new)
+        verdict = {"passed": "SURVIVED", "failed": "caught",
+                   "timed out": "caught (timed out)"}[outcome]
+        print(f"{verdict}: {name} ({time.monotonic() - began:.1f} s)")
+        if outcome == "passed":
             survivors.append(name)
     print(f"mutants: {len(MUTANTS) - len(survivors)} of {len(MUTANTS)} caught "
           f"in {time.monotonic() - started:.1f} s")

@@ -111,10 +111,10 @@ Value = str | int | bool | list
 class EngineState:
     """Mutable state of one file's run, built from its path and style.
 
-    `style` is the style in effect, whose `line_comment` and
-    `indent_adjust` apply; only `set_style()` replaces it, and with it
-    `hooks` and `out_delims`. Snippets may also retarget `hooks` and
-    `out_delims` on their own; mutations affect all subsequent scanning.
+    `style` is the style in effect, whose `line_comment` and `indent_adjust`
+    apply; only `set_style()` replaces it, and with it the `hooks` list and
+    `out_delims`. Snippets may append to `hooks`, which the scan relies on
+    never shrinking, and retarget `out_delims`; all later scanning sees it.
     `base_dir` is where `glob()` looks: the file's directory, or a conf's
     while that conf runs. `listings` maps each directory `glob()` has read
     to its sorted entries, and `globs` each `(directory, pattern)` it has

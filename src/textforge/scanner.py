@@ -4,14 +4,16 @@ snippet's output goes; this module alone decides what each mode keeps.
 
 Scanning is incremental: `iter_segments` is a generator that re-reads the
 state's hook list before every search, so a snippet that registers new hooks
-affects everything after it. It remembers where each hook occurs next, so a
-scan searches the text about once per hook.
+affects everything after it. It keeps each hook's next match in one heap,
+ordered as the tie rule orders matches, so a scan searches the text about
+once per hook and each step costs O(log hooks).
 """
 from __future__ import annotations
 
 import re
 from collections import namedtuple
 from collections.abc import Iterator
+from heapq import heappush, heapreplace
 
 from .core import (
     BeginEnd,
@@ -38,16 +40,14 @@ _BLANKS = re.compile("[ \t]*")
 _CAPTURE_REF = re.compile(r"\$([1-9])")
 _NEVER = float("inf")  # the offset of what never occurs
 _ABSENT = (_NEVER, _NEVER, ())  # _search's answer when there is no match
-_NOTHING = (None, _NEVER, _NEVER, ())  # find_next_match's start: no match
-_UNSEARCHED = (-1, -1, ())  # find_next_match's entry for a hook not searched
 
 
-def _search(text: str, hook: Hook, from_: int, last: tuple = _UNSEARCHED):
+def _search(text: str, hook: Hook, from_: int, last_end: int = -1):
     """(start, end, captures) of the first match of `hook` at or after
     `from_`, with end `_NEVER` for a begin delimiter that is never
     terminated; `_ABSENT` if there is none. It depends on (text, hook) only,
-    so it stays the answer for every later `from_` up to its start. `last`
-    is the hook's previous answer, if any; it starts before `from_`."""
+    so it stays the answer for every later `from_` up to its start.
+    `last_end` ends the hook's previous answer, one before `from_`."""
     if isinstance(hook, BeginEnd):
         b = text.find(hook.begin, from_)
         if b < 0:
@@ -55,8 +55,8 @@ def _search(text: str, hook: Hook, from_: int, last: tuple = _UNSEARCHED):
         code = b + len(hook.begin)
         # The last begin's end is the first end after its code, or there is
         # none; so it is this begin's too when this code starts no later.
-        if code <= last[1] - len(hook.end):
-            return b, last[1], ()
+        if code <= last_end - len(hook.end):
+            return b, last_end, ()
         e = text.find(hook.end, code)
         return b, (e + len(hook.end) if e >= 0 else _NEVER), ()
     # Zero-width matches are skipped: they carry no text to rewrite and
@@ -77,32 +77,32 @@ def _search(text: str, hook: Hook, from_: int, last: tuple = _UNSEARCHED):
 
 
 def find_next_match(text: str, from_: int, hooks: list[Hook],
-                    cache: dict) -> tuple | None:
+                    heap: list) -> tuple | None:
     """Earliest hook match at or after `from_`, as
     (hook, start, end, captures) with `end` exclusive, or None.
 
     Ties are broken by smallest start, then smallest match length, then
     earliest hook in `hooks`. A begin delimiter with no end delimiter after
     it is a match that never ends: a ParseError when it comes first.
-    `cache` keeps each hook's `_search` result, keyed by the hook's id,
-    between calls over one text with non-decreasing `from_` and hooks that
-    stay alive; a hook is searched again once it is passed.
+    `heap` keeps each hook's `_search` result as (start, end, index in
+    `hooks`, captures), ordered by that rule, between calls over one text
+    with non-decreasing `from_` and `hooks` only appended to; a hook is
+    searched again once passed. A hook with no further match stays in it,
+    ordered last, so it holds the first `len(heap)` hooks.
     """
-    best = _NOTHING
-    for hook in hooks:
-        found = cache.get(id(hook), _UNSEARCHED)
-        if found[0] < from_:
-            found = cache[id(hook)] = _search(text, hook, from_, found)
-        start, end, captures = found
-        # With the same start, the shorter match ends first; on a full tie
-        # the earlier hook stays.
-        if start < best[1] or (start == best[1] and end < best[2]):
-            best = (hook, start, end, captures)
-    if best[2] != _NEVER:
-        return best
-    if best[1] == _NEVER:
+    for i in range(len(heap), len(hooks)):
+        start, end, captures = _search(text, hooks[i], from_)
+        heappush(heap, (start, end, i, captures))
+    while heap[0][0] < from_:
+        _, last_end, i, _ = heap[0]
+        start, end, captures = _search(text, hooks[i], from_, last_end)
+        heapreplace(heap, (start, end, i, captures))
+    start, end, i, captures = heap[0]
+    if end != _NEVER:
+        return hooks[i], start, end, captures
+    if start == _NEVER:
         return None
-    raise ParseError("snippet begin delimiter is never terminated", at=best[1])
+    raise ParseError("snippet begin delimiter is never terminated", at=start)
 
 
 def _substitute_template(parts: list[str], captures: tuple[str, ...]) -> str:
@@ -179,11 +179,11 @@ def iter_segments(text: str, state: EngineState,
     pos = kept = 0  # where the scan is; where the text not yet yielded starts
     indent, blank = "", True  # the source line so far, as `_line` keeps it
     hooks = state.hooks
-    found: dict = {}  # id(hook) -> its next occurrence, for find_next_match
+    found: list = []  # each hook's next match, find_next_match's heap
     templates: dict[str, list[str]] = {}  # each split once
     while True:
-        if state.hooks is not hooks:  # set_style(): a dropped hook's id recurs
-            hooks, found = state.hooks, {}
+        if state.hooks is not hooks:  # set_style(): the indexes start over
+            hooks, found = state.hooks, []
         try:
             match = find_next_match(text, pos, hooks, found)
         except EvalError as exc:  # process_file's deadline, mid-search

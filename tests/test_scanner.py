@@ -33,71 +33,71 @@ JAVA_DELIMS = OutDelims("//", "+\n", "//", "-\n")
 # --- find_next_match -----------------------------------------------------
 
 def test_find_basic_snippet():
-    assert find_next_match("a<? x !>b", 0, DEFAULT_HOOKS, {}) == \
+    assert find_next_match("a<? x !>b", 0, DEFAULT_HOOKS, []) == \
         (DEFAULT_HOOKS[1], 1, 8, ())
 
 
 def test_find_nothing():
-    assert find_next_match("no hooks here", 0, DEFAULT_HOOKS, {}) is None
+    assert find_next_match("no hooks here", 0, DEFAULT_HOOKS, []) is None
 
 
 def test_find_prefers_comment_hook_at_smaller_start():
     # "//<?" starts at 0, the bare "<?" only at 2: position wins.
-    assert find_next_match("//<? x !>", 0, JAVA_HOOKS, {}) == \
+    assert find_next_match("//<? x !>", 0, JAVA_HOOKS, []) == \
         (JAVA_HOOKS[0], 0, 9, ())
 
 
 def test_find_leftmost_across_calls():
     text = "<? a !> tail <? b !>"
-    _, start, end, _ = find_next_match(text, 0, DEFAULT_HOOKS, {})
+    _, start, end, _ = find_next_match(text, 0, DEFAULT_HOOKS, [])
     assert text[start:end] == "<? a !>"
-    _, start, end, _ = find_next_match(text, end, DEFAULT_HOOKS, {})
+    _, start, end, _ = find_next_match(text, end, DEFAULT_HOOKS, [])
     assert text[start:end] == "<? b !>"
 
 
 def test_find_tie_on_start_prefers_shorter_match():
     hooks = [BeginEnd("<?", "!>>"), BeginEnd("<?", "!>")]
-    assert find_next_match("<?x!>>", 0, hooks, {})[:3] == (hooks[1], 0, 5)
+    assert find_next_match("<?x!>>", 0, hooks, [])[:3] == (hooks[1], 0, 5)
 
 
 def test_find_full_tie_prefers_lower_hook_index():
     hooks = [BeginEnd("<?", "!>"), BeginEnd("<?", "!>")]
-    assert find_next_match("<?x!>", 0, hooks, {})[0] is hooks[0]
+    assert find_next_match("<?x!>", 0, hooks, [])[0] is hooks[0]
 
 
 def test_find_pattern_hook_captures():
     hooks = [Pattern(re.compile(r"a(b+)(c)?"), "$1")]
-    _, start, end, captures = find_next_match("xxabbb", 0, hooks, {})
+    _, start, end, captures = find_next_match("xxabbb", 0, hooks, [])
     assert (start, end) == (2, 6)
     assert captures == ("bbb", "")
 
 
 def test_find_skips_zero_width_pattern_matches():
     hooks = [Pattern(re.compile("x*"), "$1")]
-    assert find_next_match("yyy", 0, hooks, {}) is None
-    assert find_next_match("yyxy", 0, hooks, {})[1:3] == (2, 3)
+    assert find_next_match("yyy", 0, hooks, []) is None
+    assert find_next_match("yyxy", 0, hooks, [])[1:3] == (2, 3)
 
 
 def test_find_dangling_begin_is_an_error():
     with pytest.raises(ParseError) as exc:
-        find_next_match("a <? x", 0, DEFAULT_HOOKS, {})
+        find_next_match("a <? x", 0, DEFAULT_HOOKS, [])
     assert line_col("a <? x", exc.value.at) == (1, 3)
     assert exc.value.message == "snippet begin delimiter is never terminated"
 
 
 def test_find_dangling_after_complete_match_is_fine():
     text = "<? a !> <? b"
-    _, start, end, _ = find_next_match(text, 0, DEFAULT_HOOKS, {})
+    _, start, end, _ = find_next_match(text, 0, DEFAULT_HOOKS, [])
     assert text[start:end] == "<? a !>"
     with pytest.raises(ParseError):
-        find_next_match(text, end, DEFAULT_HOOKS, {})
+        find_next_match(text, end, DEFAULT_HOOKS, [])
 
 
 def test_find_dangling_before_complete_match_still_errors():
     hooks = [BeginEnd("[", "]"), BeginEnd("{", "}")]
     with pytest.raises(ParseError):
-        find_next_match("{ [x]", 0, hooks, {})
-    assert find_next_match("[x] {", 0, hooks, {})[1:3] == (0, 3)
+        find_next_match("{ [x]", 0, hooks, [])
+    assert find_next_match("[x] {", 0, hooks, [])[1:3] == (0, 3)
 
 
 def _oracle_find(text, from_, hooks):
@@ -139,7 +139,7 @@ def test_find_matches_brute_force_oracle(text, from_):
     hooks = DEFAULT_HOOKS + [BeginEnd("<?", "##"),
                              Pattern(re.compile("ab"), "")]
     try:
-        got = find_next_match(text, from_, hooks, {})
+        got = find_next_match(text, from_, hooks, [])
     except ParseError:
         got = "error"
     else:
@@ -426,7 +426,7 @@ _FRAGMENTS = st.sampled_from([
 @given(st.lists(_FRAGMENTS, max_size=14).map("".join))
 def test_scan_cache_agrees_with_fresh_searches(text):
     def uncached(text, from_, hooks, cache):
-        return find_next_match(text, from_, hooks, {})
+        return find_next_match(text, from_, hooks, [])
 
     cached = _run_snippets(text, make_state())
     with mock.patch.object(scanner, "find_next_match", uncached):
@@ -461,6 +461,16 @@ def test_scan_of_begin_delimiters_far_from_an_end_is_linear(tail):
     assert len(segs) == 2 * 20_000 + bool(tail)  # markup, snippet; tail
 
 
+def test_scan_with_many_inert_hooks_is_linear():
+    # Comparing every hook's next match at each step took about 8 s here.
+    state = make_state()
+    state.hooks.extend(BeginEnd(f"[[{i}]", "]]") for i in range(2_000))
+    started = time.perf_counter()
+    segs = list(iter_segments("<? x !>\n" * 20_000, state))
+    assert time.perf_counter() - started < 2
+    assert len(segs) == 40_001  # markup and snippet each, then the last "\n"
+
+
 def test_scan_cost_does_not_grow_with_the_regex_of_a_hook():
     # A cache keyed by the hook itself hashed the compiled pattern on every
     # lookup: with a 200-way alternation the scan took several times longer.
@@ -481,7 +491,7 @@ def test_scan_cost_does_not_grow_with_the_regex_of_a_hook():
 
 
 def test_scan_starts_a_fresh_cache_when_set_style_drops_the_hooks(monkeypatch):
-    # The cache is keyed by id(hook), and the id of a dropped hook recurs.
+    # The heap holds hooks by their index in the list set_style() replaces.
     sizes = []
 
     def recording(text, from_, hooks, cache):
