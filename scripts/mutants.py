@@ -7,8 +7,9 @@ Each mutant is one exact text replacement in a module under src/textforge/,
 a fault in a fast path or an offset mapping that the goldens alone do not
 catch, and names the test module that must catch it: the differential
 scriptlet oracle, a property that holds a fast path to its reference, or a
-test aimed at the boundary the fault moves. For each, src/ and tests/ are copied to
-a fresh temporary directory, the replacement is applied, and the mutant's
+test aimed at the boundary the fault moves. For each, src/, tests/ and
+pyproject.toml (which names the console script) are copied to a fresh
+temporary directory, the replacement is applied, and the mutant's
 test module runs against the copy. The unmutated copy runs every named test
 module first and must pass. A test run that takes longer than
 `TIMEOUT_S` is stopped and counts as failed, so a mutant that loops forever
@@ -137,6 +138,14 @@ MUTANTS = {
         "rewriter.py", "test_faults.py",
         "    except BaseException as exc:",
         "    except Exception as exc:"),
+    "the read leaves its descriptor open when fstat fails": (
+        "core.py", "test_faults.py",
+        "        except BaseException:\n            os.close(fd)\n",
+        "        except BaseException:\n"),
+    "the write leaves its descriptor open when fdopen fails": (
+        "rewriter.py", "test_faults.py",
+        "        except BaseException:\n            os.close(fd)\n",
+        "        except BaseException:\n"),
 }
 
 
@@ -149,6 +158,7 @@ def run_tests(tests: list[str], module: str | None = None,
         for part in ("src", "tests"):
             shutil.copytree(os.path.join(ROOT, part), os.path.join(tmp, part),
                             ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copy(os.path.join(ROOT, "pyproject.toml"), tmp)
         if old is not None:
             path = os.path.join(tmp, "src", "textforge", module)
             with open(path, encoding="utf-8") as fh:

@@ -82,19 +82,9 @@ Pattern = namedtuple("Pattern", "regex template")
 
 Hook = BeginEnd | Pattern
 
-
-class OutDelims(namedtuple("OutDelims", "b1 b2 e1 e2")):
-    """Output-block delimiters. The full begin marker is b1+infix+b2 and the
-    full end marker is e1+infix+e2, where infix is "" or a run of decimal
-    digits chosen to avoid collisions with the output text."""
-
-    __slots__ = ()
-
-    def begin(self, infix: str = "") -> str:
-        return self.b1 + infix + self.b2
-
-    def end(self, infix: str = "") -> str:
-        return self.e1 + infix + self.e2
+# Output-block delimiters: a block's begin marker is b1 + infix + b2 and its
+# end marker e1 + infix + e2, infix being "" or the digits choose_infix picks.
+OutDelims = namedtuple("OutDelims", "b1 b2 e1 e2")
 
 
 # A named bundle of hooks and conventions for one host language. Entries of
@@ -157,11 +147,14 @@ def read_regular(path: str) -> tuple[bytes, os.stat_result]:
     def opener(name: str, flags: int) -> int:
         nonlocal st
         fd = os.open(name, flags | getattr(os, "O_NONBLOCK", 0))
-        st = os.fstat(fd)
-        if stat.S_ISREG(st.st_mode):
-            return fd
-        os.close(fd)
-        raise EngineError(f"refusing to read '{path}': not a regular file")
+        try:
+            st = os.fstat(fd)
+            if stat.S_ISREG(st.st_mode):
+                return fd
+            raise EngineError(f"refusing to read '{path}': not a regular file")
+        except BaseException:
+            os.close(fd)
+            raise
 
     with open(path, "rb", opener=opener) as fh:
         return fh.read(), st

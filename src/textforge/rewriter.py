@@ -48,8 +48,9 @@ def choose_infix(output: str, delims: OutDelims) -> str:
     the scanner takes the first end marker after the begin marker, which
     must be the one appended after the output.
     """
-    marker = delims.end("")
-    if not (delims.begin("").rstrip("\n") in output
+    b1, b2, e1, e2 = delims
+    marker = e1 + e2
+    if not ((b1 + b2).rstrip("\n") in output
             or marker.rstrip("\n") in output) and _clears_tail(output, marker):
         return ""
     # Numbered infixes of up to `width` digits are looked up among those
@@ -58,12 +59,12 @@ def choose_infix(output: str, delims: OutDelims) -> str:
     # the output and per length of overlap with its tail, 3 * len(output) in
     # all, fewer than the 9 * 10**(width - 1) there are, so none is longer.
     width = len(str(len(output))) + 1
-    taken = (_digits_between(output, delims.b1, delims.b2.rstrip("\n"), width)
-             | _digits_between(output, delims.e1, delims.e2.rstrip("\n"), width))
+    taken = (_digits_between(output, b1, b2.rstrip("\n"), width)
+             | _digits_between(output, e1, e2.rstrip("\n"), width))
     n = 1
     while True:
         infix = str(n)
-        if infix not in taken and _clears_tail(output, delims.end(infix)):
+        if infix not in taken and _clears_tail(output, e1 + infix + e2):
             return infix
         n += 1
 
@@ -132,7 +133,8 @@ def _run_snippet(seg: Snippet, state: EngineState, replace: bool) -> str:
         return out
     if not replace:
         infix = choose_infix(out, delims)
-        return delims.begin(infix) + out + delims.end(infix)
+        return (delims.b1 + infix + delims.b2 + out
+                + delims.e1 + infix + delims.e2)
     if delims.e2.endswith("\n") and not out.endswith("\n"):
         out += "\n"
     return out
@@ -273,7 +275,12 @@ def write_if_changed(path: str, text: str, current: bytes | None,
             except FileExistsError:
                 continue
             tmp = name
-        with os.fdopen(fd, "wb") as fh:
+        try:
+            fh = os.fdopen(fd, "wb")
+        except BaseException:
+            os.close(fd)
+            raise
+        with fh:
             fh.write(data)
         if mode is not None:
             os.chmod(tmp, mode)

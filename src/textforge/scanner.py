@@ -133,7 +133,7 @@ def detect_output_block(text: str, at: int,
     infix = text[i:j]
     if not text.startswith(delims.b2, j):
         return None
-    end_marker = delims.end(infix)
+    end_marker = delims.e1 + infix + delims.e2
     k = text.find(end_marker, j + len(delims.b2))
     if k < 0:
         raise ParseError(
@@ -149,9 +149,9 @@ def _line(text: str, a: int, b: int, indent: str,
     if newline >= 0:
         a, indent, blank = newline + 1, "", True
     if blank:
-        end = _BLANKS.match(text, a, b).end()
-        indent += text[a:end]
-        blank = end == b
+        run = _BLANKS.match(text, a, b)[0]
+        indent += run
+        blank = a + len(run) == b
     return indent, blank
 
 
@@ -199,7 +199,7 @@ def iter_segments(text: str, state: EngineState,
         if isinstance(hook, BeginEnd):
             # On a blank line a delimiter's leading whitespace (" [[") adds
             # to the indent, and the snippet then does not start its line.
-            run = text[start:_BLANKS.match(text, start).end()] if blank else ""
+            run = _BLANKS.match(text, start)[0] if blank else ""
             stop = end
             if replace:
                 stop = start

@@ -150,9 +150,11 @@ def test_criterion_07_collision_numbering_round_trips(report):
             out += rng.choice(["//-", "//+"])  # guarantee a plain marker clash
             infix = choose_infix(out, JAVA_DELIMS)
             assert infix != ""
-            assert JAVA_DELIMS.begin(infix).rstrip("\n") not in out
-            assert JAVA_DELIMS.end(infix).rstrip("\n") not in out
-            block = JAVA_DELIMS.begin(infix) + out + JAVA_DELIMS.end(infix)
+            begin = JAVA_DELIMS.b1 + infix + JAVA_DELIMS.b2
+            end = JAVA_DELIMS.e1 + infix + JAVA_DELIMS.e2
+            assert begin.rstrip("\n") not in out
+            assert end.rstrip("\n") not in out
+            block = begin + out + end
             found = detect_output_block(block, 0, JAVA_DELIMS)
             assert found is not None
             assert found == block  # so its inner text and infix are too

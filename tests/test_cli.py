@@ -1,4 +1,5 @@
 import gc
+import importlib
 import os
 import re
 import signal
@@ -88,6 +89,21 @@ def test_main_escapes_line_breaks_in_the_usage_line(capsys):
     known = ", ".join(sorted(STYLES))
     assert capsys.readouterr().err == (
         f"textforge: unknown style 'a\\nb\\r' (known: {known})\n{USAGE}\n")
+
+
+def test_the_console_script_prints_the_usage_without_arguments(monkeypatch,
+                                                                capsys):
+    # The `textforge` command an install makes, resolved without installing.
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    pyproject = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                             os.pardir, "pyproject.toml")
+    with open(pyproject, "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["textforge"]
+    module, _, attr = target.partition(":")
+    entry = getattr(importlib.import_module(module), attr)
+    monkeypatch.setattr(sys, "argv", ["textforge"])
+    assert entry() == 2
+    assert capsys.readouterr().err == f"textforge: no input files\n{USAGE}\n"
 
 
 # --- end-to-end runs ----------------------------------------------------------

@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 from textforge.core import (
     EngineError,
     EngineState,
-    OutDelims,
     Pattern,
     line_col,
 )
@@ -24,14 +23,6 @@ def test_engine_error_diagnostic():
 
 def test_engine_error_diagnostic_without_file():
     assert EngineError("boom").diagnostic() == "<input>:0:0: boom"
-
-
-def test_out_delims_markers():
-    d = OutDelims("//", "+\n", "//", "-\n")
-    assert d.begin() == "//+\n"
-    assert d.end() == "//-\n"
-    assert d.begin("3") == "//3+\n"
-    assert d.end("12") == "//12-\n"
 
 
 def test_new_engine_state_copies_hooks():

@@ -4,7 +4,8 @@ As in SQLite's I/O error tests (https://www.sqlite.org/testing.html), the
 N-th call fails for N = 1, 2, ... until a run makes fewer than N calls. The
 calls are the `os` and `os.path` functions that the package's modules call,
 found in their source, and the write and close of the temp file a write
-goes through. Each fails with an `OSError` or a `KeyboardInterrupt`.
+goes through. Each fails with an `OSError` or a `KeyboardInterrupt`, and
+no run may leave a descriptor open (counted where the system lists them).
 """
 import ast
 import errno
@@ -82,15 +83,17 @@ class _Faults:
 
     def __init__(self, fail_at: int, error):
         self.calls, self.fail_at, self.error = 0, fail_at, error
+        self.failed = None  # the name of the call made to fail
 
-    def tick(self):
+    def tick(self, name: str):
         self.calls += 1
         if self.calls == self.fail_at:
+            self.failed = name
             raise self.error()
 
-    def wrap(self, real):
+    def wrap(self, real, name: str):
         def call(*args, **kwargs):
-            self.tick()
+            self.tick(name)
             result = real(*args, **kwargs)
             return _TempFile(result, self) if real is os.fdopen else result
         return call
@@ -108,12 +111,12 @@ class _TempFile:
 
     def __exit__(self, *exc_info):
         try:
-            self.faults.tick()
+            self.faults.tick("the temp file's close")
         finally:
             self.fh.close()
 
     def write(self, data):
-        self.faults.tick()
+        self.faults.tick("the temp file's write")
         return self.fh.write(data)
 
 
@@ -123,12 +126,21 @@ def _inject(monkeypatch, fail_at: int, error) -> _Faults:
     for call in CALLS:
         owner, _, name = call.rpartition(".")
         real = getattr(os.path if owner == "os.path" else os, name)
-        wrapped[owner][name] = faults.wrap(real)
+        wrapped[owner][name] = faults.wrap(real, call)
     proxy = _Namespace(os, path=_Namespace(os.path, **wrapped["os.path"]),
                        **wrapped["os"])
     for module in USERS:
         monkeypatch.setattr(module, "os", proxy)
     return faults
+
+
+def _open_fds() -> int | None:
+    """How many descriptors the process has open, or None where no directory
+    lists them."""
+    for listing in ("/proc/self/fd", "/dev/fd"):
+        if os.path.isdir(listing):
+            return len(os.listdir(listing))
+    return None
 
 
 def _tree(root) -> None:
@@ -164,6 +176,7 @@ def test_a_failed_os_call_leaves_old_or_new_bytes(tmp_path, monkeypatch,
         root = tmp_path / str(fail_at)
         _tree(root)
         monkeypatch.chdir(root)
+        fds = _open_fds()
         faults = _inject(monkeypatch, fail_at, ERRORS[error])
         try:
             status = main(argv)
@@ -171,6 +184,7 @@ def test_a_failed_os_call_leaves_old_or_new_bytes(tmp_path, monkeypatch,
             status = None
         err = capsys.readouterr().err
         monkeypatch.undo()
+        assert _open_fds() == fds, f"{faults.failed} leaves a descriptor open"
         got = _read(root)
         if faults.calls < fail_at:  # every call has failed once
             assert (status, err, got) == (0, "", new)

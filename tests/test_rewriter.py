@@ -109,21 +109,21 @@ def test_choose_infix_ignores_trailing_newline_of_markers():
 def test_choose_infix_is_minimal_and_safe(output):
     for delims in (JAVA, HASH):
         infix = choose_infix(output, delims)
-        assert delims.begin(infix).rstrip("\n") not in output
-        assert delims.end(infix).rstrip("\n") not in output
+        assert (delims.b1 + infix + delims.b2).rstrip("\n") not in output
+        assert (delims.e1 + infix + delims.e2).rstrip("\n") not in output
         smaller = [] if infix == "" else \
             [""] + [str(n) for n in range(1, int(infix))]
         for cand in smaller:
-            assert (delims.begin(cand).rstrip("\n") in output
-                    or delims.end(cand).rstrip("\n") in output)
+            assert ((delims.b1 + cand + delims.b2).rstrip("\n") in output
+                    or (delims.e1 + cand + delims.e2).rstrip("\n") in output)
 
 
 def _reference_infix(output, delims):
     """choose_infix as first written: try "", 1, 2, ... in turn against the
     whole output."""
     def clashes(infix):
-        end = delims.end(infix)
-        return (delims.begin(infix).rstrip("\n") in output
+        end = delims.e1 + infix + delims.e2
+        return ((delims.b1 + infix + delims.b2).rstrip("\n") in output
                 or end.rstrip("\n") in output
                 or (output + end).find(end) < len(output))
 
