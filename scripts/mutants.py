@@ -38,8 +38,16 @@ MUTANTS = {
         "            for stmt in stmts[:1]:\n                stmt(run)\n"),
     "the assignment lookahead reads the far end of the token stack": (
         "scriptlet.py", "test_oracle.py",
-        "after = self.rest[-1]",
-        "after = self.rest[0]"),
+        'self.rest[-1][0] == "="',
+        'self.rest[0][0] == "="'),
+    "primary's keyword check is skipped": (
+        "scriptlet.py", "test_oracle.py",
+        "if kind in KEYWORDS:",
+        "if False:"),
+    "a name stops at its first underscore": (
+        "scriptlet.py", "test_oracle.py",
+        'while j < n and ((c := source[j]).isalnum() or c == "_"):',
+        "while j < n and (c := source[j]).isalnum():"),
     "< and > become <= and >=": (
         "scriptlet.py", "test_oracle.py",
         "return a < b if less else a > b",

@@ -13,12 +13,14 @@ expression statements; every statement ends with ``;`` except the block
 forms. Expressions: ``?:``, one comparison (``== != < >``), ``.``
 concatenation, calls, and literals. ``==``/``!=`` compare stringified values;
 ``<``/``>`` compare numerically when both sides are integers, otherwise
-lexicographically. Truthiness: ``""``, ``0``, false and the empty list are
-false. Integer literals are ASCII digits. Strings come single-quoted (escapes
-``\\'`` ``\\\\`` only), double-quoted (escapes ``\\n \\t \\\\ \\" \\$``) or
-triple-double-quoted (verbatim, multi-line; one newline directly after the
-opening quotes is dropped). ``#`` comments run to end of line. Reading an
-undefined variable is an error.
+lexicographically. ``""``, ``0``, false and the empty list are false, as in
+Python. A name is a letter or ``_`` and then letters, digits and ``_``; the
+keywords ``echo if else for in`` name no function. Integer literals are ASCII
+digits. Strings come single-quoted (escapes ``\\'`` ``\\\\`` only),
+double-quoted (escapes ``\\n \\t \\\\ \\" \\$``) or triple-double-quoted
+(verbatim, multi-line; one newline directly after the opening quotes is
+dropped). ``#`` comments run to end of line. Reading an undefined variable is
+an error.
 
 The parser compiles each expression, statement and program into a closure
 that takes the state of one run (`_Run`), so evaluation walks no tree. What
@@ -49,8 +51,6 @@ KEYWORDS = frozenset({"echo", "if", "else", "for", "in"})
 
 _ONE_CHAR_OPS = frozenset("=<>?:.,;(){}")
 _DIGITS = frozenset("0123456789")
-_NAME_START = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_NAME_CHARS = _NAME_START | _DIGITS
 _COMPARISONS = frozenset({"==", "!=", "<", ">"})
 _DQ_ESCAPES = {"n": "\n", "t": "\t", "\\": "\\", '"': '"', "$": "$"}
 _SQ_ESCAPES = {"'": "'", "\\": "\\"}
@@ -58,9 +58,10 @@ _SQ_ESCAPES = {"'": "'", "\\": "\\"}
 
 def tokenize(source: str) -> list[tuple[str, str, int]]:
     """Lex scriptlet source into a new list of `(kind, value, at)` tuples,
-    where kind is ident, var, int, str, op or eof and `at` is the offset of
-    the token's first character; raises ParseError on malformed input. The
-    parser that `parse_scriptlet` hands the list to reverses it in place."""
+    `at` being the offset of the token's first character. An operator or a
+    keyword is its own kind, as in `("==", "==", 3)`; the other kinds are
+    ident, var, int, str and the final eof. Raises ParseError on malformed
+    input. `parse_scriptlet`'s parser reverses the list in place."""
     tokens: list[tuple[str, str, int]] = []
     append = tokens.append
     i = 0
@@ -71,32 +72,29 @@ def tokenize(source: str) -> list[tuple[str, str, int]]:
         # one-character operators.
         if ch in _ONE_CHAR_OPS:
             if ch == "=" and source.startswith("=", i + 1):
-                append(("op", "==", i))
+                append(("==", "==", i))
                 i += 2
             else:
-                append(("op", ch, i))
+                append((ch, ch, i))
                 i += 1
         elif ch in " \t\r\n":
             i += 1
-        elif ch in _NAME_START or ch == "$" or (ch > "\x7f" and ch.isalpha()):
-            # A name starts with a letter or "_"; a variable is "$" and a
-            # name. ASCII is scanned by set lookup, the rest by isalnum.
+        elif ch == "_" or ch == "$" or ch.isalpha():
+            # A name starts with a letter or "_" and goes on with letters,
+            # digits and "_"; a variable is "$" and a name.
             j = i + 1
             if ch == "$":
-                if j >= n or not ((c := source[j]) in _NAME_START
-                                  or c.isalpha()):
+                if j >= n or not ((c := source[j]) == "_" or c.isalpha()):
                     raise ParseError("'$' must be followed by a variable name",
                                      at=i)
                 j += 1
-            while j < n and source[j] in _NAME_CHARS:
+            while j < n and ((c := source[j]).isalnum() or c == "_"):
                 j += 1
-            if j < n and source[j] > "\x7f":
-                while j < n and ((c := source[j]).isalnum() or c == "_"):
-                    j += 1
             if ch == "$":
                 append(("var", source[i + 1:j], i))
             else:
-                append(("ident", source[i:j], i))
+                name = source[i:j]
+                append((name if name in KEYWORDS else "ident", name, i))
             i = j
         elif ch == '"' and source.startswith('""', i + 1):
             end = source.find('"""', i + 3)
@@ -139,7 +137,7 @@ def tokenize(source: str) -> list[tuple[str, str, int]]:
             j = source.find("\n", i)
             i = n if j < 0 else j + 1
         elif ch == "!" and source.startswith("=", i + 1):
-            append(("op", "!=", i))
+            append(("!=", "!=", i))
             i += 2
         else:
             raise ParseError(f"unexpected character {ch!r}", at=i)
@@ -199,17 +197,17 @@ class _Parser:
 
     def expect_op(self, op: str) -> None:
         kind, value, at = self.t
-        if value != op or kind != "op":
+        if kind != op:
             raise ParseError(f"expected '{op}', got {value or kind!r}", at=at)
         self.t = self.rest.pop()
 
     # statements
 
-    def statements(self, kind: str, value: str):
-        """Compiles statements up to the token `(kind, value)`, a block's
-        `}` or the program's eof, into one closure that runs them in order."""
+    def statements(self, end: str):
+        """Compiles statements up to the token of kind `end`, a block's `}`
+        or the program's eof, into one closure that runs them in order."""
         stmts = []
-        while self.t[1] != value or self.t[0] != kind:
+        while self.t[0] != end:
             if self.t[0] == "eof":
                 raise ParseError("unterminated block: missing '}'", at=self.t[2])
             stmts.append(self.statement())
@@ -224,44 +222,39 @@ class _Parser:
 
     def statement(self):
         kind, value, at = self.t
-        if kind == "var":
-            after = self.rest[-1]  # exists: t is not eof
-            if after[1] == "=" and after[0] == "op":
-                self.rest.pop()
-                self.t = self.rest.pop()
-                expr = self.expression()
-                self.expect_op(";")
-                return _assign(value, expr)
-        elif kind == "ident" and value == "echo":
+        if kind == "var" and self.rest[-1][0] == "=":  # t is not eof
+            self.rest.pop()
             self.t = self.rest.pop()
-            args = [self.expression()]
-            while self.t[1] == "," and self.t[0] == "op":
-                self.t = self.rest.pop()
-                args.append(self.expression())
+            expr = self.expression()
+            self.expect_op(";")
+            return _assign(value, expr)
+        elif kind == "echo":
+            self.t = self.rest.pop()
+            args = self.expressions()
             self.expect_op(";")
             return _echo(args, at)
-        elif kind == "ident" and value == "if":
+        elif kind == "if":
             self.t = self.rest.pop()
             self.expect_op("(")
             cond = self.expression()
             self.expect_op(")")
             then = self.block()
             other = _nothing
-            if self.t[1] == "else" and self.t[0] == "ident":
+            if self.t[0] == "else":
                 self.t = self.rest.pop()
                 other = self.block()
 
             def if_(run):
-                (then if truthy(cond(run)) else other)(run)
+                (then if cond(run) else other)(run)
             return if_
-        elif kind == "ident" and value == "for":
+        elif kind == "for":
             var_kind, name, var_at = self.t = self.rest.pop()
             if var_kind != "var":
                 raise ParseError("expected a loop variable after 'for'", at=var_at)
             if name == "O":  # it could never be read: $O reads the output
                 raise ParseError("$O cannot be a loop variable", at=var_at)
             self.t = self.rest.pop()
-            if self.t[1] != "in" or self.t[0] != "ident":
+            if self.t[0] != "in":
                 raise ParseError("expected 'in' in for statement", at=self.t[2])
             self.t = self.rest.pop()
             items = self.expression()
@@ -274,7 +267,7 @@ class _Parser:
         # Its `if`/`for` expression has checked the depth; inner ones count it.
         self.depth += 1
         self.expect_op("{")
-        body = self.statements("op", "}")
+        body = self.statements("}")
         self.t = self.rest.pop()
         self.depth -= 1
         return body
@@ -289,29 +282,36 @@ class _Parser:
             raise ParseError(f"nesting deeper than {MAX_NESTING} levels",
                              at=self.t[2])
         cond = self.concat()
-        kind, op, _ = self.t
-        if kind == "op":
-            if op in _COMPARISONS:
-                self.t = self.rest.pop()
-                cond = _compare(op, cond, self.concat())
-                kind, op, _ = self.t
-            if op == "?" and kind == "op":
-                self.t = self.rest.pop()
-                then = self.expression()
-                self.expect_op(":")
-                other = self.expression()
-                self.depth -= 1
-                return lambda run: (then if truthy(cond(run)) else other)(run)
+        op = self.t[0]
+        if op in _COMPARISONS:
+            self.t = self.rest.pop()
+            cond = _compare(op, cond, self.concat())
+            op = self.t[0]
+        if op == "?":
+            self.t = self.rest.pop()
+            then = self.expression()
+            self.expect_op(":")
+            other = self.expression()
+            self.depth -= 1
+            return lambda run: (then if cond(run) else other)(run)
         self.depth -= 1
         return cond
 
+    def expressions(self) -> list:
+        """The comma-separated expressions of an echo or a call."""
+        exprs = [self.expression()]
+        while self.t[0] == ",":
+            self.t = self.rest.pop()
+            exprs.append(self.expression())
+        return exprs
+
     def concat(self):
         first = self.primary()
-        kind, value, at = self.t
-        if value != "." or kind != "op":
+        kind, _, at = self.t
+        if kind != ".":
             return first
         parts = [first]
-        while self.t[1] == "." and self.t[0] == "op":
+        while self.t[0] == ".":
             self.t = self.rest.pop()
             parts.append(self.primary())
         parts = tuple(parts)
@@ -334,15 +334,8 @@ class _Parser:
         if kind == "var":
             return _variable(value, at)
         if kind == "ident":
-            if value in KEYWORDS:
-                raise ParseError(f"unexpected keyword '{value}'", at=at)
             self.expect_op("(")
-            args = []
-            if self.t[1] != ")" or self.t[0] != "op":
-                args.append(self.expression())
-                while self.t[1] == "," and self.t[0] == "op":
-                    self.t = self.rest.pop()
-                    args.append(self.expression())
+            args = self.expressions() if self.t[0] != ")" else []
             self.expect_op(")")
             return _call(value, at, tuple(args))
         if kind == "int":
@@ -351,10 +344,12 @@ class _Parser:
             except ValueError:  # beyond int()'s limit on digits
                 raise ParseError(f"integer literal too long ({len(value)} digits)",
                                  at=at) from None
-        if value == "(":  # kind is op
+        if kind == "(":
             expr = self.expression()
             self.expect_op(")")
             return expr
+        if kind in KEYWORDS:
+            raise ParseError(f"unexpected keyword '{value}'", at=at)
         raise ParseError(f"expected an expression, got {value!r}", at=at)
 
 
@@ -501,7 +496,7 @@ def _blame(exc: EngineError | OSError, name: str, at: int) -> EngineError:
 def parse_scriptlet(source: str):
     """Parse a whole scriptlet program into one closure that takes a `_Run`
     and runs the program's statements in order."""
-    return _Parser(tokenize(source)).statements("eof", "")
+    return _Parser(tokenize(source)).statements("eof")
 
 
 # --- evaluation --------------------------------------------------------
@@ -515,16 +510,6 @@ def stringify(value: Value) -> str:
     if isinstance(value, int):
         return str(value)
     return " ".join(stringify(item) for item in value)
-
-
-def truthy(value: Value) -> bool:
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, str):
-        return value != ""
-    if isinstance(value, int):
-        return value != 0
-    return len(value) > 0
 
 
 def eval_program(program, state: EngineState) -> str:

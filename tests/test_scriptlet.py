@@ -23,7 +23,6 @@ from textforge.scriptlet import (
     parse_scriptlet,
     stringify,
     tokenize,
-    truthy,
 )
 
 
@@ -36,8 +35,8 @@ def run(source, state=None):
 
 def test_tokenize_kinds():
     kinds = [(t[0], t[1]) for t in tokenize("$x = 'a' . 2; # rest")]
-    assert kinds == [("var", "x"), ("op", "="), ("str", "a"), ("op", "."),
-                     ("int", "2"), ("op", ";"), ("eof", "")]
+    assert kinds == [("var", "x"), ("=", "="), ("str", "a"), (".", "."),
+                     ("int", "2"), (";", ";"), ("eof", "")]
 
 
 def test_tokenize_double_quote_escapes():
@@ -111,7 +110,7 @@ def test_parse_integer_literal_beyond_int_digit_limit():
 
 def test_tokenize_comments_run_to_end_of_line():
     kinds = [t[0] for t in tokenize("# all comment\necho 1;")]
-    assert kinds == ["ident", "int", "op", "eof"]
+    assert kinds == ["echo", "int", ";", "eof"]
 
 
 _LEXEMES = st.sampled_from([
@@ -400,9 +399,16 @@ def test_stringify_values():
     assert stringify(["a", 1, ["b", "c"]]) == "a 1 b c"
 
 
-def test_truthy_values():
-    assert truthy("x") and truthy(3) and truthy(["a"]) and truthy(True)
-    assert not (truthy("") or truthy(0) or truthy([]) or truthy(False))
+def test_truthy_values(tmp_path):
+    (tmp_path / "a.txt").write_text("")
+    state = make_state(path=str(tmp_path / "a.txt"))
+    falsy = ["''", "0", "1 < 0", "glob('nothing-*')"]
+    truthy = ["'0'", "'x'", "3", "glob('*.txt')"]
+    for cond in falsy + truthy:
+        expected = "y" if cond in truthy else "n"
+        assert run(f"echo {cond} ? 'y' : 'n';", state) == expected, cond
+        source = f"if ({cond}) {{ echo 'y'; }} else {{ echo 'n'; }}"
+        assert run(source, state) == expected, cond
 
 
 def test_heredoc_style_assignment():
