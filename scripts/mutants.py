@@ -68,10 +68,14 @@ MUTANTS = {
         "scanner.py", "test_scanner.py",
         "if end > start:",
         "if end >= start:"),
-    "the template join takes capture N + 1 for $N": (
+    "the template fill takes group N + 1 for $N": (
         "scanner.py", "test_scanner.py",
-        "i = int(parts[k]) - 1",
-        "i = int(parts[k])"),
+        "n = int(ref[1])",
+        "n = int(ref[1]) + 1"),
+    "the template fill reads the last group as empty": (
+        "scanner.py", "test_scanner.py",
+        "if n <= m.re.groups else",
+        "if n < m.re.groups else"),
     "the snippet error mapping splits one line too far": (
         "rewriter.py", "test_rewriter.py",
         'len(seg.code.rsplit("\\n", after)[0])',
@@ -87,12 +91,12 @@ MUTANTS = {
         "    if style.indent_adjust and seg.indent:\n"),
     "a never-terminated begin ends at the end of the text": (
         "scanner.py", "test_scanner.py",
-        "else _NEVER), ()",
-        "else len(text)), ()"),
+        "else _NEVER), None",
+        "else len(text)), None"),
     "find_next_match keeps the later hook on a full tie": (
         "scanner.py", "test_scanner.py",
-        "heappush(heap, (start, end, i, captures))",
-        "heappush(heap, (start, end, -i, captures))"),
+        "heappush(heap, (start, end, i, m))",
+        "heappush(heap, (start, end, -i, m))"),
     "only the top entry is searched again": (
         "scanner.py", "test_scanner.py",
         "while heap[0][0] < from_:",

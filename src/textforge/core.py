@@ -75,9 +75,9 @@ class UsageError(EngineError):
 # Snippet hook: code sits between `begin` and the first following `end`.
 BeginEnd = namedtuple("BeginEnd", "begin end")
 
-# Regex hook: `regex` is a compiled `re.Pattern`. The scanner's segments are
-# `str | Snippet`, and a match is a `str`: its text in update mode, and in
-# replace mode `template` with $1..$9 substituted from its capture groups.
+# Regex hook: `regex` is a compiled `re.Pattern`. The scanner keeps a match
+# as its `re.Match` and yields it as a `str`: its text in update mode, and in
+# replace mode `template` with $1..$9 filled from the match's groups.
 Pattern = namedtuple("Pattern", "regex template")
 
 Hook = BeginEnd | Pattern

@@ -39,14 +39,14 @@ Segment = str | Snippet
 _BLANKS = re.compile("[ \t]*")
 _CAPTURE_REF = re.compile(r"\$([1-9])")
 _NEVER = float("inf")  # the offset of what never occurs
-_ABSENT = (_NEVER, _NEVER, ())  # _search's answer when there is no match
+_ABSENT = (_NEVER, _NEVER, None)  # _search's answer when there is no match
 
 
 def _search(text: str, hook: Hook, from_: int, last_end: int = -1):
-    """(start, end, captures) of the first match of `hook` at or after
-    `from_`, with end `_NEVER` for a begin delimiter that is never
-    terminated; `_ABSENT` if there is none. It depends on (text, hook) only,
-    so it stays the answer for every later `from_` up to its start.
+    """(start, end, m) of the first match of `hook` at or after `from_`, `m`
+    a regex hook's `re.Match` (None for a snippet), end `_NEVER` for a begin
+    delimiter never terminated; `_ABSENT` if none. It depends on (text, hook)
+    only, so it stays the answer for every later `from_` up to its start.
     `last_end` ends the hook's previous answer, one before `from_`."""
     if isinstance(hook, BeginEnd):
         b = text.find(hook.begin, from_)
@@ -56,9 +56,9 @@ def _search(text: str, hook: Hook, from_: int, last_end: int = -1):
         # The last begin's end is the first end after its code, or there is
         # none; so it is this begin's too when this code starts no later.
         if code <= last_end - len(hook.end):
-            return b, last_end, ()
+            return b, last_end, None
         e = text.find(hook.end, code)
-        return b, (e + len(hook.end) if e >= 0 else _NEVER), ()
+        return b, (e + len(hook.end) if e >= 0 else _NEVER), None
     # Zero-width matches are skipped: they carry no text to rewrite and
     # would stall the scan. (re.search clamps pos to len(text) and keeps
     # reporting the final empty match, hence the bound.)
@@ -71,48 +71,45 @@ def _search(text: str, hook: Hook, from_: int, last_end: int = -1):
             return _ABSENT
         start, end = m.span()
         if end > start:
-            return start, end, m.groups("")[:9]
+            return start, end, m
         at = start + 1
     return _ABSENT
 
 
 def find_next_match(text: str, from_: int, hooks: list[Hook],
                     heap: list) -> tuple | None:
-    """Earliest hook match at or after `from_`, as
-    (hook, start, end, captures) with `end` exclusive, or None.
+    """Earliest hook match at or after `from_`, as (hook, start, end, m)
+    with `end` exclusive and `m` as `_search` gives it, or None.
 
     Ties are broken by smallest start, then smallest match length, then
     earliest hook in `hooks`. A begin delimiter with no end delimiter after
     it is a match that never ends: a ParseError when it comes first.
-    `heap` keeps each hook's `_search` result as (start, end, index in
-    `hooks`, captures), ordered by that rule, between calls over one text
-    with non-decreasing `from_` and `hooks` only appended to; a hook is
-    searched again once passed. A hook with no further match stays in it,
-    ordered last, so it holds the first `len(heap)` hooks.
+    `heap` keeps each hook's `_search` result as (start, end, index in `hooks`,
+    m), ordered by that rule (a unique index, so `m` is never compared),
+    between calls over one text with non-decreasing `from_` and `hooks` only
+    appended to; a hook is searched again once passed. A hook with no further
+    match stays in it, ordered last, so it holds the first `len(heap)` hooks.
     """
     for i in range(len(heap), len(hooks)):
-        start, end, captures = _search(text, hooks[i], from_)
-        heappush(heap, (start, end, i, captures))
+        start, end, m = _search(text, hooks[i], from_)
+        heappush(heap, (start, end, i, m))
     while heap[0][0] < from_:
         _, last_end, i, _ = heap[0]
-        start, end, captures = _search(text, hooks[i], from_, last_end)
-        heapreplace(heap, (start, end, i, captures))
-    start, end, i, captures = heap[0]
+        start, end, m = _search(text, hooks[i], from_, last_end)
+        heapreplace(heap, (start, end, i, m))
+    start, end, i, m = heap[0]
     if end != _NEVER:
-        return hooks[i], start, end, captures
+        return hooks[i], start, end, m
     if start == _NEVER:
         return None
     raise ParseError("snippet begin delimiter is never terminated", at=start)
 
 
-def _substitute_template(parts: list[str], captures: tuple[str, ...]) -> str:
-    """A regex hook's template, split by `_CAPTURE_REF` into `parts`, with
-    each `$N` replaced by capture N ("" past the last capture)."""
-    out = parts[:]
-    for k in range(1, len(parts), 2):
-        i = int(parts[k]) - 1
-        out[k] = captures[i] if i < len(captures) else ""
-    return "".join(out)
+def _group(m: re.Match, ref: re.Match) -> str:
+    """Group N of `m` for the `$N` that `ref` matched; "" for a group that
+    took no part or that the regex lacks."""
+    n = int(ref[1])
+    return m[n] or "" if n <= m.re.groups else ""
 
 
 def detect_output_block(text: str, at: int,
@@ -162,7 +159,7 @@ def iter_segments(text: str, state: EngineState,
     Update keeps all but the consumed output blocks, a snippet's markup in
     the `str` before it, so the `str`s and those blocks give back the input.
     Replace keeps the passthrough and each regex match's template, filled
-    from its captures; a snippet that starts its line takes its indent with
+    from its groups; a snippet that starts its line takes its indent with
     it when the passthrough right before it ends with it.
 
     Callers that evaluate snippets between pulls see hook/out_delims changes
@@ -180,7 +177,6 @@ def iter_segments(text: str, state: EngineState,
     indent, blank = "", True  # the source line so far, as `_line` keeps it
     hooks = state.hooks
     found: list = []  # each hook's next match, find_next_match's heap
-    templates: dict[str, list[str]] = {}  # each split once
     while True:
         if state.hooks is not hooks:  # set_style(): the indexes start over
             hooks, found = state.hooks, []
@@ -193,7 +189,7 @@ def iter_segments(text: str, state: EngineState,
             if kept < len(text):
                 yield text[kept:]
             return
-        hook, start, end, captures = match
+        hook, start, end, m = match
         if start > pos:
             indent, blank = _line(text, pos, start, indent, blank)
         if isinstance(hook, BeginEnd):
@@ -215,9 +211,7 @@ def iter_segments(text: str, state: EngineState,
         elif replace:
             if start > kept:
                 yield text[kept:start]
-            if hook.template not in templates:
-                templates[hook.template] = _CAPTURE_REF.split(hook.template)
-            yield _substitute_template(templates[hook.template], captures)
+            yield _CAPTURE_REF.sub(lambda ref: _group(m, ref), hook.template)
             kept = end
         indent, blank = _line(text, start, end, indent, blank)
         pos = max(end, kept)  # past a consumed output block

@@ -5,7 +5,7 @@ import tempfile
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from textforge import core, rewriter, scriptlet
 from textforge.core import (
@@ -30,30 +30,30 @@ JAVA = OutDelims("//", "+\n", "//", "-\n")
 
 # --- strip_line_comments ---------------------------------------------------
 
-def test_prepare_code_strips_comment_prefix():
+def test_strip_line_comments_strips_comment_prefix():
     assert strip_line_comments("#   echo 'a';\n#   echo 'b';\n", "#") == \
         "   echo 'a';\n   echo 'b';\n"
 
 
-def test_prepare_code_leaves_plain_lines():
+def test_strip_line_comments_leaves_plain_lines():
     assert strip_line_comments("$x = 1;", "#") == "$x = 1;"
 
 
-def test_prepare_code_mixed_lines():
+def test_strip_line_comments_mixed_lines():
     code = " $a = 1;\n    // $b = 2;\n//$c = 3;\nplain\n"
     assert strip_line_comments(code, "//") == " $a = 1;\n $b = 2;\n$c = 3;\nplain\n"
 
 
-def test_prepare_code_of_one_line_counts_what_it_strips():
+def test_strip_line_comments_of_one_line_counts_what_it_strips():
     assert strip_line_comments("  $x = 1;", "#") == "  $x = 1;"
     assert strip_line_comments(" \t# $x = 1;", "#") == " $x = 1;"
 
 
-def test_prepare_code_without_line_comment_is_identity():
+def test_strip_line_comments_without_line_comment_is_identity():
     assert strip_line_comments("# anything\n", None) == "# anything\n"
 
 
-def test_prepare_code_makes_commented_ternary_parse():
+def test_strip_line_comments_makes_commented_ternary_parse():
     code = (' $O = "    ".($Version == \'Test\' ?\n'
             "    // 'System.out.println(\"Test version\");' :\n"
             "    // 'System.out.println(\"Release version\");' );\n"
@@ -311,6 +311,52 @@ def test_process_pattern_hook_replace_substitutes_captures(tmp_path):
     init = "add_regex_hook('v([0-9]+)', 'version $1');"
     process_file(str(f), STYLES["default"], out_path=str(out), init_code=init)
     assert out.read_text() == "see version 42."
+
+
+def _readme_template(template, m):
+    """TEMPLATE as README's `add_regex_hook` row fills it from match `m`:
+    `$1`..`$9` are its groups, "" for one that took no part or that the
+    regex lacks; every other character, `$` included, stays as written."""
+    groups = m.groups()
+    out, i = [], 0
+    while i < len(template):
+        n = template[i + 1:i + 2]
+        if template[i] == "$" and "1" <= n <= "9":
+            n = int(n)
+            out.append(groups[n - 1] or "" if n <= len(groups) else "")
+            i += 2
+        else:
+            out.append(template[i])
+            i += 1
+    return "".join(out)
+
+
+# Patterns that cannot match empty, so the scan takes re.sub's matches.
+@given(st.sampled_from(["a(b)?", "(x+)(y)?", "(a)" + "(q)?" * 9]),
+       st.lists(st.sampled_from(["$0", "$1", "$2", "$9", "$10", "$$1", "$",
+                                 "a", "-", " "]), max_size=8).map("".join),
+       st.lists(st.sampled_from(["ab", "a", "b", "xxy", "x", "y", "aqq", "q",
+                                 " ", "\n"]), max_size=10).map("".join))
+@example("a(b)?", "[$1|$0|$10|$$1|$|$2]", "ab a ab")
+@example("(a)" + "(q)?" * 9, "$9$1", "aqqqqqqqqq aq")
+def test_process_fills_templates_as_readme_says(pattern, template, text):
+    with tempfile.TemporaryDirectory() as tmp:
+        f = os.path.join(tmp, "doc.txt")
+        out = os.path.join(tmp, "out.txt")
+        with open(f, "w") as fh:
+            fh.write(text)
+        before = os.stat(f)
+        init = f"add_regex_hook('{pattern}', '{template}');"
+        process_file(f, STYLES["default"], out_path=out, init_code=init)
+        with open(out) as fh:
+            assert fh.read() == re.compile(pattern).sub(
+                lambda m: _readme_template(template, m), text)
+        assert process_file(f, STYLES["default"], init_code=init) is False
+        after = os.stat(f)
+        with open(f) as fh:
+            assert fh.read() == text
+        assert (after.st_ino, after.st_mtime_ns) == \
+            (before.st_ino, before.st_mtime_ns)
 
 
 def test_process_hooks_added_by_snippets_apply_downstream(tmp_path):

@@ -4,7 +4,7 @@ import types
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import goldens
 from helpers import concat_segments, make_state
@@ -34,7 +34,7 @@ JAVA_DELIMS = OutDelims("//", "+\n", "//", "-\n")
 
 def test_find_basic_snippet():
     assert find_next_match("a<? x !>b", 0, DEFAULT_HOOKS, []) == \
-        (DEFAULT_HOOKS[1], 1, 8, ())
+        (DEFAULT_HOOKS[1], 1, 8, None)
 
 
 def test_find_nothing():
@@ -44,7 +44,7 @@ def test_find_nothing():
 def test_find_prefers_comment_hook_at_smaller_start():
     # "//<?" starts at 0, the bare "<?" only at 2: position wins.
     assert find_next_match("//<? x !>", 0, JAVA_HOOKS, []) == \
-        (JAVA_HOOKS[0], 0, 9, ())
+        (JAVA_HOOKS[0], 0, 9, None)
 
 
 def test_find_leftmost_across_calls():
@@ -67,9 +67,9 @@ def test_find_full_tie_prefers_lower_hook_index():
 
 def test_find_pattern_hook_captures():
     hooks = [Pattern(re.compile(r"a(b+)(c)?"), "$1")]
-    _, start, end, captures = find_next_match("xxabbb", 0, hooks, [])
+    _, start, end, m = find_next_match("xxabbb", 0, hooks, [])
     assert (start, end) == (2, 6)
-    assert captures == ("bbb", "")
+    assert m.groups("") == ("bbb", "")
 
 
 def test_find_skips_zero_width_pattern_matches():
@@ -169,8 +169,11 @@ def _reference_search(text, regex, from_):
 def test_search_matches_its_reference(pattern, text, from_):
     regex = re.compile(pattern)
     expected = _reference_search(text, regex, from_)
-    assert (scanner._search(text, Pattern(regex, ""), from_)
-            == (scanner._ABSENT if expected is None else expected))
+    start, end, m = scanner._search(text, Pattern(regex, ""), from_)
+    if m is not None:
+        m = m.groups("")[:9]
+    assert (start, end, m) == (scanner._ABSENT if expected is None
+                               else expected)
 
 
 # --- detect_output_block -------------------------------------------------
@@ -311,17 +314,27 @@ def test_scan_pattern_segment():
         assert list(iter_segments("see v42 here", state, replace)) == segs
 
 
-@given(st.lists(st.sampled_from(["$0", "$1", "$2", "$9", "$10", "$$1", "$",
+# A regex of 0-10 groups, some optional or empty, that never matches empty,
+# so the scan takes the matches re.sub takes.
+@given(st.lists(st.sampled_from(["(a)", "(b)?", "(a|b)", "(b*)", "()"]),
+                max_size=10).map(lambda groups: "x" + "".join(groups)),
+       st.lists(st.sampled_from(["$0", "$1", "$2", "$9", "$10", "$$1", "$",
                                  "a", "-"]), max_size=8).map("".join),
-       st.lists(st.text("xy", max_size=2), max_size=9).map(tuple))
-def test_substitute_template_matches_re_sub(template, captures):
-    def repl(m):
-        i = int(m.group(1)) - 1
-        return captures[i] if i < len(captures) else ""
+       st.text(alphabet="xab", max_size=20))
+@example("x(a)", "$1", "xa")  # the last group
+@example("x(b)?(a)", "[$1|$2|$3]", "xa xba")
+@example("x" + "(a)" * 10, "$10|$9", "xaaaaaaaaaa")
+def test_substitute_template_matches_re_sub(pattern, template, text):
+    def fill(m):
+        groups = m.groups("")
+        return re.sub(r"\$([1-9])", lambda ref: groups[int(ref[1]) - 1]
+                      if int(ref[1]) <= len(groups) else "", template)
 
-    parts = scanner._CAPTURE_REF.split(template)
-    assert (scanner._substitute_template(parts, captures)
-            == re.sub(r"\$([1-9])", repl, template))
+    regex = re.compile(pattern)
+    state = make_state()
+    state.hooks.append(Pattern(regex, template))
+    assert "".join(iter_segments(text, state, replace=True)) == \
+        regex.sub(fill, text)
 
 
 def test_scan_propagates_unterminated_output_position():
