@@ -150,14 +150,18 @@ MUTANTS = {
         "rewriter.py", "test_faults.py",
         "    except BaseException as exc:",
         "    except Exception as exc:"),
-    "the read leaves its descriptor open when fstat fails": (
+    "the read's file is left to the collector": (
         "core.py", "test_faults.py",
-        "        except BaseException:\n            os.close(fd)\n",
-        "        except BaseException:\n"),
-    "the write leaves its descriptor open when fdopen fails": (
+        "with fh:",
+        "if True:"),
+    "a directory is refused as an OS error": (
+        "core.py", "test_cli.py",
+        "    except IsADirectoryError:\n        pass\n",
+        "    finally:\n        pass\n"),
+    "the temp file is never closed": (
         "rewriter.py", "test_faults.py",
-        "        except BaseException:\n            os.close(fd)\n",
-        "        except BaseException:\n"),
+        "        with fh:\n            fh.write(data)\n",
+        "        fh.write(data)\n"),
 }
 
 

@@ -139,25 +139,20 @@ def line_col(text: str, offset: int) -> tuple[int, int]:
 
 def read_regular(path: str) -> tuple[bytes, os.stat_result]:
     """`path`'s bytes and its stat result as it was opened, before any byte
-    was read, so an edit made during the read shows as a change. Anything
-    but a regular file is refused unread; the open does not block, so a FIFO
-    cannot hang the run."""
-    st = None
-
-    def opener(name: str, flags: int) -> int:
-        nonlocal st
-        fd = os.open(name, flags | getattr(os, "O_NONBLOCK", 0))
-        try:
-            st = os.fstat(fd)
+    was read, so an edit made during the read shows as a change. `open()`
+    owns the descriptor from the start. Anything but a regular file is
+    refused unread: `open()` refuses a directory before it is read, and the
+    open does not block, so a FIFO cannot hang the run."""
+    try:
+        fh = open(path, "rb", opener=lambda name, flags: os.open(
+            name, flags | getattr(os, "O_NONBLOCK", 0)))
+        with fh:
+            st = os.fstat(fh.fileno())
             if stat.S_ISREG(st.st_mode):
-                return fd
-            raise EngineError(f"refusing to read '{path}': not a regular file")
-        except BaseException:
-            os.close(fd)
-            raise
-
-    with open(path, "rb", opener=opener) as fh:
-        return fh.read(), st
+                return fh.read(), st
+    except IsADirectoryError:
+        pass
+    raise EngineError(f"refusing to read '{path}': not a regular file")
 
 
 def read_text(path: str) -> tuple[str, bool, bytes, os.stat_result]:

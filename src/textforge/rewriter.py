@@ -233,21 +233,23 @@ def _version(info: os.stat_result | None) -> tuple | None:
 
 def write_if_changed(path: str, text: str, current: bytes | None,
                      current_stat: os.stat_result | None) -> bool:
-    """Write `text` to `path` atomically, but only when its bytes differ
-    from `current`, the target's bytes as the caller read them, and
+    """Write `text` to `path`, but only when its bytes differ from
+    `current`, the target's bytes as the caller read them, and
     `current_stat` its stat result from when it was opened for that read
     (both None for a target that was missing).
 
     Identical content means no write at all, so timestamps survive untouched.
     Updates go through a temp file in the same directory followed by a
-    rename; an existing file keeps its permission bits. A symlink is written
-    through: the file it resolves to is replaced and the link stays. A
-    target with more than one hard link is refused with an EngineError when
-    its bytes would change, and so is a target that changed since it was
-    opened for the read, during the read too: just before the rename, its
-    inode, size, mtime or ctime differ from `current_stat`, or it has
-    appeared or gone. Then the temp file is removed and nothing is written.
-    A failed write raises an OSError naming `path`.
+    rename, so a crash or error of textforge leaves the old bytes or the
+    new ones; nothing is fsynced. An existing file keeps its permission
+    bits. A symlink is written through: the file it resolves to is replaced
+    and the link stays. A target with more than one hard link is refused
+    with an EngineError when its bytes would change, and so is a target that
+    changed since it was opened for the read, during the read too: just
+    before the rename, its inode, size, mtime or ctime differ from
+    `current_stat`, or it has appeared or gone. Then the temp file is
+    removed and nothing is written. A failed write raises an OSError naming
+    `path`.
     """
     data = text.encode("utf-8", "surrogateescape")
     if current == data:
@@ -257,33 +259,26 @@ def write_if_changed(path: str, text: str, current: bytes | None,
         # the file if the write fails. Neither is acceptable.
         raise EngineError(f"refusing to replace '{path}': it has "
                           f"{current_stat.st_nlink} hard links")
-    mode = None if current_stat is None else stat.S_IMODE(current_stat.st_mode)
 
     target = os.path.realpath(path)
-    # O_BINARY: no newline translation on Windows. A new target is created
-    # 0o666 less the umask, as open() would; a replacement stays private
-    # until it takes the old file's mode.
-    flags = os.O_CREAT | os.O_EXCL | os.O_WRONLY | getattr(os, "O_BINARY", 0)
-    created_mode = 0o666 if mode is None else 0o600
+    # A new target is created 0o666 less the umask, as open() would; a
+    # replacement stays private until it takes the old file's mode.
+    created_mode = 0o666 if current_stat is None else 0o600
     tmp = None
     try:
         while tmp is None:
             name = os.path.join(os.path.dirname(target),
                                 ".textforge-" + os.urandom(6).hex())
             try:
-                fd = os.open(name, flags, created_mode)
+                fh = open(name, "xb",
+                          opener=lambda n, f: os.open(n, f, created_mode))
             except FileExistsError:
                 continue
             tmp = name
-        try:
-            fh = os.fdopen(fd, "wb")
-        except BaseException:
-            os.close(fd)
-            raise
         with fh:
             fh.write(data)
-        if mode is not None:
-            os.chmod(tmp, mode)
+        if current_stat is not None:
+            os.chmod(tmp, stat.S_IMODE(current_stat.st_mode))
         try:
             now = os.stat(path)
         except FileNotFoundError:

@@ -456,6 +456,27 @@ def test_main_names_an_unwritable_output_path(tmp_path, monkeypatch, capsys):
     assert sorted(os.listdir(tmp_path)) == ["t.txt"]
 
 
+def test_main_names_file_when_the_rename_and_the_cleanup_fail(
+        tmp_path, monkeypatch, capsys):
+    f = tmp_path / "t.txt"
+    source = "<? echo 'x'; !>\n"
+    f.write_text(source)
+
+    def fail(errno, message):
+        def call(path, *args):
+            raise OSError(errno, message, path)
+        return call
+    monkeypatch.setattr(rewriter.os, "replace", fail(5, "Input/output error"))
+    monkeypatch.setattr(rewriter.os, "unlink", fail(13, "Permission denied"))
+    assert main([str(f)]) == 1
+    assert capsys.readouterr().err == \
+        f"{f}:0:0: [Errno 5] Input/output error: '{f}'\n"
+    assert f.read_text() == source
+    # Only a temp file whose removal failed too is left behind.
+    left = sorted(os.listdir(tmp_path))
+    assert left[1:] == ["t.txt"] and left[0].startswith(".textforge-")
+
+
 def test_main_updates_through_a_symlink(tmp_path):
     target = tmp_path / "t.txt"
     target.write_text("<? echo 'x'; !>\n")

@@ -35,6 +35,16 @@ def test_chain_is_collected_top_down(tmp_path):
     assert chain == (top, mid, leaf)
 
 
+def test_chain_ends_at_the_filesystem_root(tmp_path, monkeypatch):
+    # With a conf in every directory, only the root stops the walk.
+    monkeypatch.setattr(os.path, "isfile", lambda path: True)
+    chain = find_conf_chain(str(tmp_path))
+    monkeypatch.undo()
+    assert chain == tuple(str(d / CONF_NAME)
+                          for d in reversed([tmp_path, *tmp_path.parents]))
+    assert chain[0] == os.path.join(os.sep, CONF_NAME)
+
+
 def test_chain_empty_without_conf(tmp_path):
     (tmp_path / "x").mkdir()
     assert find_conf_chain(str(tmp_path / "x")) == ()

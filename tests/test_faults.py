@@ -3,9 +3,10 @@
 As in SQLite's I/O error tests (https://www.sqlite.org/testing.html), the
 N-th call fails for N = 1, 2, ... until a run makes fewer than N calls. The
 calls are the `os` and `os.path` functions that the package's modules call,
-found in their source, and the write and close of the temp file a write
-goes through. Each fails with an `OSError` or a `KeyboardInterrupt`, and
-no run may leave a descriptor open (counted where the system lists them).
+found in their source, and the open, write and close of the temp file a
+write goes through. Each fails with an `OSError` or a `KeyboardInterrupt`,
+and no run may leave a descriptor open (counted where the system lists
+them).
 """
 import ast
 import errno
@@ -17,6 +18,7 @@ import re
 import pytest
 
 import textforge
+from textforge import rewriter
 from textforge.cli import main
 
 PACKAGE = os.path.dirname(textforge.__file__)
@@ -94,14 +96,18 @@ class _Faults:
     def wrap(self, real, name: str):
         def call(*args, **kwargs):
             self.tick(name)
-            result = real(*args, **kwargs)
-            return _TempFile(result, self) if real is os.fdopen else result
+            return real(*args, **kwargs)
         return call
+
+    def open(self, *args, **kwargs):
+        """`open` as the write calls it, for its temp file."""
+        self.tick("the temp file's open")
+        return _TempFile(open(*args, **kwargs), self)
 
 
 class _TempFile:
-    """A file from os.fdopen whose write, and whose close, where buffered
-    bytes reach the disk, are calls that can fail."""
+    """The temp file, whose write, and whose close, where buffered bytes
+    reach the disk, are calls that can fail."""
 
     def __init__(self, fh, faults: _Faults):
         self.fh, self.faults = fh, faults
@@ -131,6 +137,7 @@ def _inject(monkeypatch, fail_at: int, error) -> _Faults:
                        **wrapped["os"])
     for module in USERS:
         monkeypatch.setattr(module, "os", proxy)
+    monkeypatch.setattr(rewriter, "open", faults.open, raising=False)
     return faults
 
 
@@ -154,7 +161,7 @@ def _read(root) -> dict[str, bytes]:
 
 
 def test_the_source_scan_finds_the_calls_a_run_makes():
-    assert {"os.open", "os.fstat", "os.fdopen", "os.replace", "os.stat",
+    assert {"os.open", "os.fstat", "os.replace", "os.stat",
             "os.listdir", "os.path.abspath", "os.path.isfile"} <= CALLS
     assert USERS
 
@@ -170,7 +177,7 @@ def test_a_failed_os_call_leaves_old_or_new_bytes(tmp_path, monkeypatch,
     new = _read(tmp_path / "clean")
     assert new["a.txt" if run == "update" else "out.txt"] != SOURCES["a.txt"]
     assert new["c.txt"] == SOURCES["c.txt"]
-    fail_at = 0
+    fail_at, failed = 0, set()
     while True:
         fail_at += 1
         root = tmp_path / str(fail_at)
@@ -184,6 +191,7 @@ def test_a_failed_os_call_leaves_old_or_new_bytes(tmp_path, monkeypatch,
             status = None
         err = capsys.readouterr().err
         monkeypatch.undo()
+        failed.add(faults.failed)
         assert _open_fds() == fds, f"{faults.failed} leaves a descriptor open"
         got = _read(root)
         if faults.calls < fail_at:  # every call has failed once
@@ -203,3 +211,5 @@ def test_a_failed_os_call_leaves_old_or_new_bytes(tmp_path, monkeypatch,
         # The run goes on to the other files.
         assert sum(got[name] != new[name] for name in got) <= 1
     assert fail_at > 20
+    assert {"the temp file's open", "the temp file's write",
+            "the temp file's close"} <= failed

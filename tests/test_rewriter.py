@@ -266,6 +266,11 @@ def test_process_update_rewrites_in_place(tmp_path):
     assert f.read_text() == "x<? echo 'hi'; !>#+\nhi#-\ny"
 
 
+def test_process_update_replaces_a_block_numbered_with_a_zero(tmp_path):
+    assert render(tmp_path, "<? echo 'y'; !>#10+\nold#10-\n") == \
+        "<? echo 'y'; !>#+\ny#-\n"
+
+
 def test_process_update_is_idempotent_and_preserves_mtime(tmp_path):
     f = tmp_path / "doc.txt"
     f.write_text("x<? echo 'hi'; !>y")

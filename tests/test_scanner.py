@@ -189,8 +189,9 @@ def test_detect_numbered_block_is_maximal_munch():
 
 
 def test_detect_multidigit_infix():
-    out = detect_output_block("#12+\nz#12-\nrest", 0, OutDelims("#", "+\n", "#", "-\n"))
-    assert out == "#12+\nz#12-\n"
+    delims = OutDelims("#", "+\n", "#", "-\n")
+    for block in ("#12+\nz#12-\n", "#10+\nx#10-\n", "#20+\n#2-\n#20-\n"):
+        assert detect_output_block(block + "rest", 0, delims) == block
 
 
 def test_detect_greedy_digits_do_not_backtrack():

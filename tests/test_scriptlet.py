@@ -192,6 +192,15 @@ def test_parse_keyword_is_not_an_expression():
     assert "keyword" in exc.value.message
 
 
+@pytest.mark.parametrize("source", [
+    "if (1) { echo 'a'; } 'else' { echo 'b'; }",
+    "echo 1 == 1 '?' 'a' : 'b';",
+])
+def test_parse_a_string_that_spells_a_keyword_or_operator_is_a_string(source):
+    with pytest.raises(ParseError):
+        parse_scriptlet(source)
+
+
 def test_parse_for_requires_variable():
     with pytest.raises(ParseError):
         parse_scriptlet("for x in glob('*') { }")
@@ -545,8 +554,9 @@ def test_add_regex_hook_appends_pattern():
 
 
 def test_add_regex_hook_rejects_bad_or_empty_pattern():
-    with pytest.raises(EvalError):
+    with pytest.raises(EvalError) as exc:
         run("add_regex_hook('(', 'x');")
+    assert exc.value.message.startswith("invalid regex in add_regex_hook(): ")
     with pytest.raises(EvalError):
         run("add_regex_hook('', 'x');")
     for pattern in ("a{4294967296}", "(" * 2000 + ")" * 2000):
@@ -561,6 +571,13 @@ def test_set_out_delimiters():
     # Only a digit that starts b2 would read as part of the fence number.
     run("set_out_delimiters('<1', '>', '</', '2>');", state)
     assert state.out_delims == OutDelims("<1", ">", "</", "2>")
+
+
+def test_set_out_delimiters_rejects_a_b2_starting_with_zero():
+    with pytest.raises(EvalError) as exc:
+        run("set_out_delimiters('#', '0+', '#', '-');")
+    assert exc.value.message == \
+        "set_out_delimiters() b2 may not start with a digit"
 
 
 def test_set_out_delimiters_rejects_empty_part():
